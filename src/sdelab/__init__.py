@@ -15,7 +15,6 @@ from .noise import (
     integrate,
     empirical_covariation,
     uniform_marks,
-    discrete_marks,
     wiener_component,
     mark_rectangle,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "integrate",
     "empirical_covariation",
     "uniform_marks",
-    "discrete_marks",
     "wiener_component",
     "mark_rectangle",
     "CoefficientModel",

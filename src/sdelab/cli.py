@@ -4,7 +4,8 @@
     sde validate <config.yaml>
 
 Seed and thread count can also come from SDE_SEED / SDE_THREADS; precedence
-is flag > environment > config file.
+is flag > environment > config file.  The thread count has no effect:
+replications run serially in one process, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment described by a config file")
     run_p.add_argument("config", help="path to the YAML experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None, help="override the worker count")
+    run_p.add_argument("--threads", type=int, default=None, help="no effect (replications run serially)")
     run_p.add_argument("--out", default=None, help="output directory for artifacts")
 
     val_p = sub.add_parser("validate", help="check a config file and report every problem")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,9 @@ CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
 
 # Shrink factors used when probing continuity of f in the path argument.
 _C3_SCALES = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
+
+# Violations recorded per report; each keeps its witness paths in memory.
+_MAX_WITNESSES = 16
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,13 @@ class ConditionReport:
         )
 
     def write_witnesses(self, directory):
-        from pathlib import Path
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for v in self.violations:
-            with open(directory / f"{self.condition}_witness_{v.index}_x.csv", "w") as fh:
-                write_path_csv(v.x_path, fh)
-            if v.y_path is not None:
-                with open(directory / f"{self.condition}_witness_{v.index}_y.csv", "w") as fh:
-                    write_path_csv(v.y_path, fh)
+            for side, path in (("x", v.x_path), ("y", v.y_path)):
+                if path is not None:
+                    with open(directory / f"{self.condition}_witness_{v.index}_{side}.csv", "w") as fh:
+                        write_path_csv(path, fh)
 
 
 def random_path_sampler(model: CoefficientModel, radius: float, horizon: float = 1.0):
@@ -120,22 +121,23 @@ def random_path_sampler(model: CoefficientModel, radius: float, horizon: float =
 
 def _squared_mark_integral(model, spec, t, x, y=None) -> float:
     """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks."""
+
+    def sq(mark):
+        gx = np.atleast_1d(model.jump(t, x, mark))
+        gy = np.atleast_1d(model.jump(t, y, mark)) if y is not None else 0.0
+        diff = gx - gy
+        return float(diff @ diff)
+
     total = 0.0
     for i in range(spec.wiener_count):
-        gx = np.atleast_1d(model.jump(t, x, i))
-        gy = np.atleast_1d(model.jump(t, y, i)) if y is not None else 0.0
-        diff = gx - gy
-        total += float(diff @ diff)
+        total += sq(i)
     if spec.has_jumps:
         lam = spec.rate(t)
         if lam > 0:
             nodes = spec.compensator_node_set()
             acc = 0.0
             for node in nodes:
-                gx = np.atleast_1d(model.jump(t, x, node))
-                gy = np.atleast_1d(model.jump(t, y, node)) if y is not None else 0.0
-                diff = gx - gy
-                acc += float(diff @ diff)
+                acc += sq(node)
             total += lam * acc / nodes.shape[0]
     return total
 
@@ -145,6 +147,27 @@ def _require_rate(model, attr, condition):
     if fn is None:
         raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
     return fn
+
+
+# Rate envelope of each rate condition: the model attribute, and whether it
+# takes the radius R as well as t.
+_RATES = {"C1": ("lipschitz_rate", True), "C2": ("growth_rate", False), "C4": ("bound_rate", True)}
+
+
+def _condition_terms(model, spec, condition, t, x, y) -> tuple[float, float]:
+    """(lhs, sup-norm factor) of C1, C2 or C4 at a witness; the rhs is rate * factor."""
+    if condition == "C1":
+        dx = x.left_limit(t) - y.left_limit(t)
+        df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
+        lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
+        return lhs, sup_distance(x, y, x.start, t) ** 2
+    if condition == "C2":
+        xl = x.left_limit(t)
+        f = np.atleast_1d(model.drift(t, x))
+        lhs = 2.0 * float(xl @ f) + _squared_mark_integral(model, spec, t, x)
+        return lhs, 1.0 + x.window_sup(x.start, t) ** 2
+    f = np.atleast_1d(model.drift(t, x))
+    return float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x), 1.0
 
 
 def evaluate_condition(
@@ -158,29 +181,14 @@ def evaluate_condition(
 ) -> tuple[float, float]:
     """One (lhs, rhs) evaluation of a condition at a witness; deterministic,
     so recorded violations replay bit-identically."""
-    if condition == "C1":
-        if y is None:
-            raise ValueError("C1 needs a path pair")
-        lip = _require_rate(model, "lipschitz_rate", "C1")
-        dx = x.left_limit(t) - y.left_limit(t)
-        df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
-        lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
-        rhs = float(lip(t, radius)) * sup_distance(x, y, x.start, t) ** 2
-        return lhs, rhs
-    if condition == "C2":
-        growth = _require_rate(model, "growth_rate", "C2")
-        xl = x.left_limit(t)
-        f = np.atleast_1d(model.drift(t, x))
-        lhs = 2.0 * float(xl @ f) + _squared_mark_integral(model, spec, t, x)
-        rhs = float(growth(t)) * (1.0 + x.window_sup(x.start, t) ** 2)
-        return lhs, rhs
-    if condition == "C4":
-        bound = _require_rate(model, "bound_rate", "C4")
-        f = np.atleast_1d(model.drift(t, x))
-        lhs = float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x)
-        rhs = float(bound(t, radius))
-        return lhs, rhs
-    raise ValueError(f"evaluate_condition does not handle {condition!r}")
+    if condition not in _RATES:
+        raise ValueError(f"evaluate_condition does not handle {condition!r}")
+    if condition == "C1" and y is None:
+        raise ValueError("C1 needs a path pair")
+    attr, takes_radius = _RATES[condition]
+    rate = _require_rate(model, attr, condition)
+    lhs, factor = _condition_terms(model, spec, condition, t, x, y)
+    return lhs, float(rate(t, radius) if takes_radius else rate(t)) * factor
 
 
 def _check_c3(model, t, x, rng) -> tuple[float, float]:
@@ -210,12 +218,12 @@ def check_condition(
     seed: int = 0,
     *,
     horizon: float = 1.0,
-    keep_witnesses: int = 16,
 ) -> ConditionReport:
-    """Sample (t, x, y) draws and record every violation beyond tolerance.
+    """Sample (t, x, y) draws and record violations beyond tolerance.
 
     The tolerance is relative, 1e-9 * (1 + |rhs|), to survive floating-point
-    cancellation in the inner-product terms.
+    cancellation in the inner-product terms.  Only the first 16 violations
+    are recorded.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
@@ -243,12 +251,10 @@ def check_condition(
         t, x, y = sampler(rng)
         if condition == "C3":
             lhs, rhs = _check_c3(model, t, x, rng)
-        elif condition == "C1":
-            lhs, rhs = evaluate_condition(model, spec, condition, t, x, y, radius)
         else:
-            lhs, rhs = evaluate_condition(model, spec, condition, t, x, None, radius)
+            lhs, rhs = evaluate_condition(model, spec, condition, t, x, y, radius)
         tol = 1e-9 * (1.0 + abs(rhs))
-        if lhs > rhs + tol and len(report.violations) < keep_witnesses:
+        if lhs > rhs + tol and len(report.violations) < _MAX_WITNESSES:
             report.violations.append(
                 Violation(i, t, lhs, rhs, lhs - rhs, x, y if condition == "C1" else None)
             )
@@ -286,19 +292,7 @@ def suggest_rate(
         for j, t in enumerate(t_grid):
             if t <= x.start:
                 continue
-            if condition == "C1":
-                dx = x.left_limit(t) - y.left_limit(t)
-                df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
-                lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
-                denom = sup_distance(x, y, x.start, t) ** 2
-            elif condition == "C2":
-                lhs = 2.0 * float(x.left_limit(t) @ np.atleast_1d(model.drift(t, x)))
-                lhs += _squared_mark_integral(model, spec, t, x)
-                denom = 1.0 + x.window_sup(x.start, t) ** 2
-            else:
-                f = np.atleast_1d(model.drift(t, x))
-                lhs = float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x)
-                denom = 1.0
+            lhs, denom = _condition_terms(model, spec, condition, t, x, y)
             if denom < 1e-12:
                 continue
             env[j] = max(env[j], lhs / denom)

@@ -49,7 +49,7 @@ _NOISE_KEYS = {"wiener", "jump_rate", "mark_low", "mark_high", "quadrature_nodes
 class ExperimentConfig:
     kind: str
     seed: int
-    threads: int = 1
+    threads: int = 1          # accepted, no effect: replications run serially
     output: Optional[str] = None
     options: dict = field(default_factory=dict)
 
@@ -232,7 +232,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     ck.problems.append("every resolution must divide the largest one")
                 opts["resolutions"] = sorted(res)
         opts["T"] = ck.number("T", required=True, positive=True)
-        opts["replications"] = ck.integer("replications", required=True, minimum=1)
+        # Two replications at least: the standard errors use ddof=1.
+        opts["replications"] = ck.integer("replications", required=True, minimum=2)
     elif kind == "verify-gronwall":
         ensemble = ck.choice("ensemble", ("gbm-squared", "counterexample"), required=True)
         opts["ensemble"] = ensemble

@@ -45,9 +45,15 @@ __all__ = [
     "constant_pairs",
 ]
 
-# One-sided and two-sided 99% normal quantiles.
+# One-sided 99% normal quantile.
 Z_ONE_SIDED = 2.3263478740408408
-Z_TWO_SIDED = 2.5758293035489004
+
+# Absolute slack allowed in the assumption inequality, for rounding in the
+# running-sup Stieltjes sums.
+_ASSUMPTION_TOL = 1e-9
+
+# Replications per chunk of the vectorised generators (_brownian_increments).
+_CHUNK = 4096
 
 
 def c_p(p: float) -> float:
@@ -127,7 +133,6 @@ class GronwallEnsemble:
     h_predictable: bool = False
     seed: Optional[int] = None
     label: str = ""
-    assumption_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -136,7 +141,6 @@ class GronwallEnsemble:
             raise EnsembleError("X, M, H ensembles must have equal size")
         if abs(self.clock(0.0)) > 1e-12:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
-        tol = self.assumption_tolerance
 
         def sample(path, pts):
             if path.breakpoints.size == pts.size and np.array_equal(path.breakpoints, pts):
@@ -164,7 +168,7 @@ class GronwallEnsemble:
             a_vals = np.array([self.clock(t) for t in pts])
             integ = _running_sup_clock_integral(xs, a_vals)
             slack = integ + sample(m, pts) + sample(h, pts) - xs
-            if np.any(slack < -tol):
+            if np.any(slack < -_ASSUMPTION_TOL):
                 j = int(np.argmin(slack))
                 raise EnsembleError(
                     f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
@@ -297,6 +301,13 @@ class LenglartReport:
         return self.verdict == "holds"
 
 
+def _mean_stderr(samples) -> tuple[float, float]:
+    """Sample mean and its standard error (0.0 for fewer than two samples)."""
+    a = np.asarray(samples)
+    n = a.size
+    return float(a.mean()), (float(a.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0)
+
+
 def _sup_pairs(x_paths: Iterable[CadlagPath], g_paths: Iterable[CadlagPath]):
     """Stream (sup X, sup G) per replication; the two ensembles are paired by
     index and consumed in lockstep, so generators stay memory-flat."""
@@ -320,14 +331,10 @@ def lenglart_tail(
     for sx, sg in _sup_pairs(x_paths, g_paths):
         lh.append(1.0 if sx > c else 0.0)
         rh.append(min(sg, d) / c + (1.0 if sg >= d else 0.0))
-    lh = np.asarray(lh)
-    rh = np.asarray(rh)
-    n = lh.size
-    l_m, r_m = float(lh.mean()), float(rh.mean())
-    l_se = float(lh.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    r_se = float(rh.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    l_m, l_se = _mean_stderr(lh)
+    r_m, r_se = _mean_stderr(rh)
     verdict = "holds" if l_m - Z_ONE_SIDED * l_se <= r_m + Z_ONE_SIDED * r_se else "violated"
-    return LenglartReport(l_m, l_se, r_m, r_se, verdict, n, {"c": c, "d": d})
+    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh), {"c": c, "d": d})
 
 
 def lenglart_moment(
@@ -339,20 +346,27 @@ def lenglart_moment(
     for sx, sg in _sup_pairs(x_paths, g_paths):
         lh.append(sx ** p)
         rh.append(sg ** p)
-    lh = np.asarray(lh)
-    rh = np.asarray(rh)
-    n = lh.size
-    l_m = float(lh.mean())
-    l_se = float(lh.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    r_m = cp * float(rh.mean())
-    r_se = cp * (float(rh.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0)
+    l_m, l_se = _mean_stderr(lh)
+    g_m, g_se = _mean_stderr(rh)
+    r_m, r_se = cp * g_m, cp * g_se
     verdict = "holds" if l_m + Z_ONE_SIDED * l_se <= r_m else "violated"
-    return LenglartReport(l_m, l_se, r_m, r_se, verdict, n, {"p": p})
+    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh), {"p": p})
 
 
 # ---------------------------------------------------------------------------
 # Certified dominated-pair generators
 # ---------------------------------------------------------------------------
+
+
+def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
+    """Yield (take, steps) arrays of N(0, dt) increments, _CHUNK replications at a time.
+
+    Chunk k draws from the stream (seed, k), so the chunk size keys the
+    Philox streams: changing it changes every result.
+    """
+    for k, done in enumerate(range(0, replications, _CHUNK)):
+        take = min(_CHUNK, replications - done)
+        yield stream(seed, k).standard_normal((take, steps)) * math.sqrt(dt)
 
 
 def brownian_square_pairs(
@@ -361,7 +375,6 @@ def brownian_square_pairs(
     seed: int,
     *,
     horizon: float = 1.0,
-    chunk: int = 4096,
 ):
     """Certified pair X(t) = B(t)^2, G(t) = t on [0, horizon], on a uniform grid.
 
@@ -376,18 +389,10 @@ def brownian_square_pairs(
     dt = horizon / grid_n
 
     def x_paths():
-        done = 0
-        chunk_idx = 0
-        while done < replications:
-            take = min(chunk, replications - done)
-            rng = stream(seed, chunk_idx)
-            incr = rng.standard_normal((take, grid_n)) * math.sqrt(dt)
-            b = np.concatenate([np.zeros((take, 1)), np.cumsum(incr, axis=1)], axis=1)
-            sq = b * b
-            for r in range(take):
-                yield CadlagPath._trusted(ts, sq[r][:, None], horizon)
-            done += take
-            chunk_idx += 1
+        for incr in _brownian_increments(replications, grid_n, dt, seed):
+            b = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=1)], axis=1)
+            for row in b * b:
+                yield CadlagPath._trusted(ts, row[:, None], horizon)
 
     return x_paths(), (g_path for _ in range(replications))
 
@@ -443,18 +448,15 @@ def counterexample_stats(
     s = np.where(heads, up, -down)
     pos_p = np.where(heads, up ** p, 0.0)
     neg_a = np.where(heads, 0.0, down ** alpha)
-    n = replications
     lhs_exact = (1.0 - q) ** (p * (1.0 - 1.0 / alpha)) * q ** (1.0 - p)
     return CounterexampleStats(
         q,
         alpha,
         p,
-        n,
-        float(pos_p.mean()),
-        float(pos_p.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0,
+        replications,
+        *_mean_stderr(pos_p),
         lhs_exact,
-        float(neg_a.mean()),
-        float(neg_a.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0,
+        *_mean_stderr(neg_a),
         1.0,
         float(s.mean()),
     )
@@ -503,7 +505,6 @@ def gbm_squared_ensemble(
     x0: float = 1.0,
     n: int = 64,
     horizon: float = 1.0,
-    chunk: int = 4096,
 ) -> GronwallEnsemble:
     """Certified ensemble from the squared Euler scheme of a geometric diffusion.
 
@@ -523,12 +524,8 @@ def gbm_squared_ensemble(
     ts = np.arange(steps + 1) * dt
     h_path = CadlagPath(ts, (x0 * x0 + K * ts)[:, None].copy(), horizon)
     xs, ms = [], []
-    done = 0
-    chunk_idx = 0
-    while done < replications:
-        take = min(chunk, replications - done)
-        rng = stream(seed, chunk_idx)
-        dW = rng.standard_normal((take, steps)) * math.sqrt(dt)
+    for dW in _brownian_increments(replications, steps, dt, seed):
+        take = len(dW)
         s = np.empty((take, steps + 1))
         s[:, 0] = x0
         for k in range(steps):
@@ -541,8 +538,6 @@ def gbm_squared_ensemble(
         for r in range(take):
             xs.append(CadlagPath._trusted(ts, y[r][:, None], horizon))
             ms.append(CadlagPath._trusted(ts, m[r][:, None], horizon))
-        done += take
-        chunk_idx += 1
     return GronwallEnsemble(
         xs,
         ms,

@@ -37,7 +37,6 @@ __all__ = [
     "empirical_covariation",
     "CovariationEstimate",
     "uniform_marks",
-    "discrete_marks",
     "wiener_component",
     "mark_rectangle",
     "write_events_csv",
@@ -61,23 +60,6 @@ def uniform_marks(low, high) -> Callable:
         return lo + (hi - lo) * rng.random((size, lo.size))
 
     sampler.mark_dim = lo.size
-    return sampler
-
-
-def discrete_marks(labels: Sequence[float], probs: Sequence[float]) -> Callable:
-    """Sampler for a finite label set with given probabilities."""
-    lab = np.asarray(labels, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if lab.ndim != 1 or p.shape != lab.shape:
-        raise ValueError("labels and probs must be 1-d of equal length")
-    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
-        raise ValueError("probs must be a probability vector")
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.choice(lab.size, size=size, p=p)
-        return lab[idx][:, None]
-
-    sampler.mark_dim = 1
     return sampler
 
 

@@ -130,28 +130,6 @@ class CadlagPath:
         jumps = tuple(j for j in self.jump_times if j <= t)
         return CadlagPath._trusted(self.breakpoints[:hi], self.values[:hi], self.end, jumps)
 
-    # -- convenience ------------------------------------------------------
-
-    def scalar_at(self, t: float) -> float:
-        """value_at for 1-d paths, unwrapped to a float."""
-        v = self.value_at(t)
-        if v.shape != (1,):
-            raise ValueError("scalar_at is only defined for 1-d paths")
-        return float(v[0])
-
-    def restrict(self, a: float, b: float) -> "CadlagPath":
-        """Sub-path on [a, b] (a, b must lie in the domain)."""
-        self._check_domain(a)
-        self._check_domain(b)
-        if a > b:
-            raise ValueError(f"empty restriction: a={a} > b={b}")
-        lo = int(np.searchsorted(self.breakpoints, a, side="right")) - 1
-        hi = int(np.searchsorted(self.breakpoints, b, side="right"))
-        bp = self.breakpoints[lo:hi].copy()
-        bp[0] = a
-        jumps = tuple(j for j in self.jump_times if a < j <= b)
-        return CadlagPath(bp, self.values[lo:hi].copy(), b, jumps)
-
 
 def constant_path(value, start: float, end: float) -> CadlagPath:
     """Path identically equal to `value` on [start, end]."""
@@ -199,14 +177,6 @@ class PathBuilder:
         self._n += 1
         if jump:
             self._jumps.append(float(t))
-
-    @property
-    def last_time(self) -> float:
-        return float(self._bp[self._n - 1])
-
-    @property
-    def last_value(self) -> np.ndarray:
-        return self._vals[self._n - 1]
 
     def freeze(self) -> CadlagPath:
         """Frozen view of everything appended so far, on the full domain."""

@@ -6,16 +6,16 @@ detected (the lab doubles as a falsification tool), and operational errors
 propagate to the CLI as exit 1.
 
 Artifacts are byte-reproducible for a fixed config and seed: every
-replication draws from its own counter-based stream, results are reduced in
-replication order no matter how many workers ran, and the only
-non-reproducible value is the timestamp, isolated in one metadata key.
+replication draws from its own counter-based stream, replications run
+serially in one process in index order, and the only non-reproducible value
+is the timestamp, isolated in one metadata key.  The config's `threads`
+value is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,65 +36,35 @@ from .models import build_model, build_noise, gbm_exact_terminal
 from .solver import euler_solve, strong_convergence
 from .streams import stream
 
-__all__ = ["run_experiment", "parallel_map"]
+__all__ = ["run_experiment"]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 
 
-def parallel_map(fn, items, threads: int):
-    """Ordered map over a worker pool; results depend only on the items."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _write_csv(path: Path, header: str, rows):
+    """Header line, then one line per row; floats in repr form, anything else via str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row))
+            fh.write("\n")
 
 
-def _csv_row(fh, fields):
-    fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in fields))
-    fh.write("\n")
-
-
-def _write_report(out: Path, kind: str, seed: int, parameters: dict, results: dict):
-    report = {
-        "kind": kind,
-        "seed": seed,
-        "parameters": parameters,
-        "results": results,
-        "metadata": {"timestamp": datetime.now(timezone.utc).isoformat()},
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _native(obj):
-    """Recursively convert numpy scalars so json can serialize the tree."""
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _run_simulate(cfg: ExperimentConfig, out: Path) -> int:
+def _run_simulate(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     model = build_model(o["model"], o["model_params"])
     spec = build_noise(**o["noise"])
     reps = o["replications"]
-
-    def solve_one(r: int):
-        return euler_solve(model, spec, o["n"], o["T"], stream(cfg.seed, r), replication=r)
-
-    paths = parallel_map(solve_one, range(reps), cfg.threads)
-    with open(out / "trajectories.csv", "w") as fh:
-        fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
-        for r, path in enumerate(paths):
-            for t, row in zip(path.breakpoints, path.values):
-                _csv_row(fh, [r, float(t), *[float(v) for v in row]])
+    paths = [
+        euler_solve(model, spec, o["n"], o["T"], stream(cfg.seed, r), replication=r)
+        for r in range(reps)
+    ]
+    _write_csv(
+        out / "trajectories.csv",
+        "replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)),
+        ([r, t, *row] for r, p in enumerate(paths) for t, row in zip(p.breakpoints, p.values)),
+    )
     if paths:
         terminal = np.array([p.value_at(p.end) for p in paths])
         stats = {
@@ -103,15 +73,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> int:
         }
     else:
         stats = {"terminal_mean": [], "terminal_std": []}
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in ("model", "model_params", "noise", "n", "T", "replications")}),
-        _native({"statistics": stats}),
-    )
-    return EXIT_OK
+    return o, {"statistics": stats}, EXIT_OK
 
 
-def _run_convergence(cfg: ExperimentConfig, out: Path) -> int:
+def _run_convergence(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     params = dict(o["model_params"])
     model = build_model(o["model"], params)
@@ -122,19 +87,13 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> int:
     rep = strong_convergence(
         model, spec, o["resolutions"], o["T"], o["replications"], cfg.seed, oracle
     )
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("n,mean_error,stderr\n")
-        for n, e, s in zip(rep.resolutions, rep.errors, rep.stderrs):
-            _csv_row(fh, [n, e, s])
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in ("model", "model_params", "resolutions", "T", "replications")}),
-        _native({"errors": list(rep.errors), "stderrs": list(rep.stderrs), "slope": rep.slope}),
-    )
-    return EXIT_OK
+    _write_csv(out / "convergence.csv", "n,mean_error,stderr", zip(rep.resolutions, rep.errors, rep.stderrs))
+    parameters = {k: o[k] for k in ("model", "model_params", "resolutions", "T", "replications")}
+    results = {"errors": rep.errors, "stderrs": rep.stderrs, "slope": rep.slope}
+    return parameters, results, EXIT_OK
 
 
-def _run_verify_gronwall(cfg: ExperimentConfig, out: Path) -> int:
+def _run_verify_gronwall(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     reports = []
     for p in o["p_values"]:
@@ -150,68 +109,57 @@ def _run_verify_gronwall(cfg: ExperimentConfig, out: Path) -> int:
             # point of the experiment, so the certificate gate is bypassed.
             force = o["variant"] == "a"
         reports.append(verify_gronwall(ens, o["variant"], force=force))
-    with open(out / "gronwall.csv", "w") as fh:
-        fh.write("p,variant,lhs,lhs_ci,rhs,verdict\n")
-        for r in reports:
-            _csv_row(fh, [r.p, r.variant, r.lhs, r.lhs_ci, r.rhs, r.verdict])
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in o}),
-        _native({
-            "reports": [
-                {"p": r.p, "variant": r.variant, "lhs": r.lhs, "lhs_ci": r.lhs_ci,
-                 "rhs": r.rhs, "verdict": r.verdict, "replications": r.replications}
-                for r in reports
-            ]
-        }),
+    _write_csv(
+        out / "gronwall.csv", "p,variant,lhs,lhs_ci,rhs,verdict",
+        ([r.p, r.variant, r.lhs, r.lhs_ci, r.rhs, r.verdict] for r in reports),
     )
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
+    results = {
+        "reports": [
+            {"p": r.p, "variant": r.variant, "lhs": r.lhs, "lhs_ci": r.lhs_ci,
+             "rhs": r.rhs, "verdict": r.verdict, "replications": r.replications}
+            for r in reports
+        ]
+    }
+    return o, results, EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
 
 
-def _run_lenglart(cfg: ExperimentConfig, out: Path) -> int:
+def _run_lenglart(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     x_paths, g_paths = brownian_square_pairs(o["replications"], o["grid_n"], cfg.seed)
     if o["mode"] == "tail":
         rep = lenglart_tail(x_paths, g_paths, o["c"], o["d"])
     else:
         rep = lenglart_moment(x_paths, g_paths, o["p"])
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in o}),
-        _native({
-            "lhs": rep.lhs, "lhs_stderr": rep.lhs_stderr,
-            "rhs": rep.rhs, "rhs_stderr": rep.rhs_stderr,
-            "verdict": rep.verdict, "replications": rep.replications,
-        }),
-    )
-    return EXIT_OK if rep.holds else EXIT_VIOLATION
+    results = {
+        "lhs": rep.lhs, "lhs_stderr": rep.lhs_stderr,
+        "rhs": rep.rhs, "rhs_stderr": rep.rhs_stderr,
+        "verdict": rep.verdict, "replications": rep.replications,
+    }
+    return o, results, EXIT_OK if rep.holds else EXIT_VIOLATION
 
 
-def _run_counterexample(cfg: ExperimentConfig, out: Path) -> int:
+def _run_counterexample(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     rows = [
         counterexample_stats(q, o["alpha"], o["p"], o["replications"], cfg.seed, stream_index=j)
         for j, q in enumerate(o["q_values"])
     ]
-    with open(out / "counterexample.csv", "w") as fh:
-        fh.write("q,lhs_mc,lhs_stderr,lhs_exact,h_moment_mc,h_moment_stderr,h_moment_exact\n")
-        for r in rows:
-            _csv_row(fh, [r.q, r.lhs_mc, r.lhs_stderr, r.lhs_exact,
-                          r.h_moment_mc, r.h_moment_stderr, r.h_moment_exact])
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in o}),
-        _native({
-            "rows": [dataclasses.asdict(r) for r in rows],
-            "lhs_exact_increasing": all(
-                a.lhs_exact < b.lhs_exact for a, b in zip(rows, rows[1:])
-            ) if sorted(o["q_values"]) == o["q_values"] else None,
-        }),
+    _write_csv(
+        out / "counterexample.csv",
+        "q,lhs_mc,lhs_stderr,lhs_exact,h_moment_mc,h_moment_stderr,h_moment_exact",
+        ([r.q, r.lhs_mc, r.lhs_stderr, r.lhs_exact, r.h_moment_mc, r.h_moment_stderr, r.h_moment_exact]
+         for r in rows),
     )
-    return EXIT_OK
+    results = {
+        "rows": [dataclasses.asdict(r) for r in rows],
+        "lhs_exact_increasing": all(
+            a.lhs_exact < b.lhs_exact for a, b in zip(rows, rows[1:])
+        ) if sorted(o["q_values"]) == o["q_values"] else None,
+    }
+    return o, results, EXIT_OK
 
 
-def _run_check_conditions(cfg: ExperimentConfig, out: Path) -> int:
+def _run_check_conditions(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     model = build_model(o["model"], o["model_params"])
     spec = build_noise(**o["noise"])
@@ -221,19 +169,15 @@ def _run_check_conditions(cfg: ExperimentConfig, out: Path) -> int:
         )
         for cond in o["conditions"]
     ]
-    with open(out / "conditions.csv", "w") as fh:
-        fh.write("condition,samples,violations,passed\n")
-        for r in reports:
-            fh.write(f"{r.condition},{r.samples},{len(r.violations)},{r.passed}\n")
+    _write_csv(
+        out / "conditions.csv", "condition,samples,violations,passed",
+        ([r.condition, r.samples, len(r.violations), r.passed] for r in reports),
+    )
     for r in reports:
         if r.violations:
             r.write_witnesses(out / "witnesses")
-    _write_report(
-        out, cfg.kind, cfg.seed,
-        _native({k: o[k] for k in o}),
-        {"conditions": [json.loads(r.to_json()) for r in reports]},
-    )
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+    results = {"conditions": [json.loads(r.to_json()) for r in reports]}
+    return o, results, EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
 _RUNNERS = {
@@ -250,4 +194,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run one experiment; returns the process exit code (artifacts land in out_dir)."""
     out = Path(out_dir or cfg.output or "sde_out")
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.kind](cfg, out)
+    parameters, results, exit_code = _RUNNERS[cfg.kind](cfg, out)
+    report = {
+        "kind": cfg.kind,
+        "seed": cfg.seed,
+        "parameters": parameters,
+        "results": results,
+        "metadata": {"timestamp": datetime.now(timezone.utc).isoformat()},
+    }
+    # Serialised before the file is opened, so a non-finite number raises
+    # here and no non-strict or half-written report.json is left behind.
+    # numpy scalars become Python numbers (np.float64 already is a float).
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=lambda v: v.item())
+    with open(out / "report.json", "w") as fh:
+        fh.write(text + "\n")
+    return exit_code

@@ -130,6 +130,8 @@ def euler_solve(
     The realization defaults to a fresh sample on the Euler grid; a finer
     realization (every boundary k/n on its grid) is accepted so coupled
     resolutions can consume shared noise.  Deterministic given the stream.
+    Raises ExplosionError if the state leaves the guard radius or is not
+    finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,7 +173,15 @@ def euler_solve(
                 raise ExplosionError(
                     f"|X| exceeded the guard radius {guard}", t=t, replication=replication
                 )
-    return builder.finish()
+    path = builder.finish()
+    # NaN passes the guard test above, so finiteness is checked once per solve.
+    finite = np.isfinite(path.values).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ExplosionError(
+            "state is not finite", t=float(path.breakpoints[bad]), replication=replication
+        )
+    return path
 
 
 def remainder(

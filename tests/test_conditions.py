@@ -124,6 +124,29 @@ class TestRateSuggestion:
         large = s.suggest_rate(model, ONE_WIENER, "C2", samples=900, **kw)
         assert np.all(large.values >= small.values - 1e-15)
 
+    @pytest.mark.parametrize("condition", ["C1", "C2", "C4"])
+    def test_envelope_is_lhs_over_rhs_at_unit_rate(self, condition):
+        # With every rate equal to 1, rhs is the sup-norm factor itself, so
+        # the suggested envelope of a single draw is exactly lhs / rhs.
+        base = geometric_jump()
+        model = s.CoefficientModel(
+            dim=1, delay=1.0, drift=lambda t, h: h.value_at(t) * np.abs(h.value_at(t)),
+            jump=base.jump, initial=base.initial,
+            lipschitz_rate=lambda t, R: 1.0, growth_rate=lambda t: 1.0,
+            bound_rate=lambda t, R: 1.0,
+        )
+        spec = s.MartingaleMeasureSpec(
+            wiener_count=1, intensity=lambda t: 2.0, intensity_bound=2.0,
+            mark_sampler=s.uniform_marks(0.0, 1.0), quadrature_nodes=8,
+        )
+        x = s.CadlagPath([-1.0, -0.2, 0.3], [[0.4], [-1.3], [0.9]], 1.0)
+        y = s.CadlagPath([-1.0, 0.1], [[-0.7], [0.25]], 1.0)
+        t = 0.6
+        lhs, rhs = s.evaluate_condition(model, spec, condition, t, x, y, radius=2.0)
+        env = s.suggest_rate(model, spec, condition, radius=2.0, t_grid=[t], samples=1,
+                             sampler=lambda rng: (t, x, y))
+        assert env.values[0, 0] == lhs / rhs
+
     def test_all_excluded_is_estimation_error(self):
         def degenerate(rng):
             x = constant_path(1.0, -1.0, 1.0)

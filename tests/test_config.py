@@ -99,6 +99,15 @@ def test_convergence_requires_gbm():
     assert any("gbm" in p for p in probs)
 
 
+def test_convergence_needs_two_replications():
+    # One replication has no standard error (ddof=1 gives NaN).
+    probs = problems_of(
+        "kind: convergence\nmodel: gbm\nresolutions: [8, 16]\nT: 1.0\n"
+        "replications: 1\nseed: 1\n"
+    )
+    assert any("'replications' must be >= 2" in p for p in probs)
+
+
 def test_resolutions_must_nest():
     probs = problems_of(
         "kind: convergence\nmodel: gbm\nresolutions: [8, 12]\nT: 1.0\n"

@@ -146,6 +146,19 @@ class TestConvergenceRunner:
         assert lines[0] == "n,mean_error,stderr"
         assert len(lines) == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_result_leaves_no_report(self, tmp_path):
+        # The config check rejects one replication; set in code, it gives NaN
+        # stderrs, which strict JSON cannot hold.
+        cfg = parse_config(
+            "kind: convergence\nmodel: gbm\nresolutions: [8, 16]\nT: 1.0\n"
+            "replications: 2\nseed: 10\n"
+        )
+        cfg.options["replications"] = 1
+        with pytest.raises(ValueError):
+            run_experiment(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCheckConditionsRunner:
     def test_bad_model_flagged(self, tmp_path):

@@ -206,6 +206,20 @@ class TestEulerSolve:
         with pytest.raises(ExplosionError):
             s.euler_solve(model, NO_NOISE, 16, 2.0, (0, 0), explosion_bound=50.0)
 
+    def test_non_finite_state_raises(self):
+        # NaN slips past the guard radius (sqrt(nan) > guard is False).
+        def nan_drift(t, h):
+            return np.array([np.nan]) if t >= 0.5 else np.zeros(1)
+
+        model = s.CoefficientModel(
+            dim=1, delay=1.0, drift=nan_drift, jump=lambda t, h, m: np.zeros(1),
+            initial=constant_path(0.0, -1.0, 0.0),
+        )
+        with pytest.raises(ExplosionError) as err:
+            s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), explosion_bound=1e6, replication=3)
+        assert "not finite" in str(err.value)
+        assert err.value.t == 0.75 and err.value.replication == 3
+
     def test_model_error_context(self):
         def bad_drift(t, h):
             if t >= 0.5:
