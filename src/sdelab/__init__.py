@@ -15,7 +15,6 @@ from .noise import (
     integrate,
     empirical_covariation,
     uniform_marks,
-    wiener_component,
     mark_rectangle,
 )
 from .solver import (
@@ -61,7 +60,6 @@ __all__ = [
     "integrate",
     "empirical_covariation",
     "uniform_marks",
-    "wiener_component",
     "mark_rectangle",
     "CoefficientModel",
     "kappa",

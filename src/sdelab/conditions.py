@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError
+from .gronwall import finite_or_none
 from .noise import MartingaleMeasureSpec
 from .paths import CadlagPath, sup_distance, write_path_csv
 from .solver import CoefficientModel
@@ -74,13 +75,15 @@ class ConditionReport:
                 "condition": self.condition,
                 "samples": self.samples,
                 "violations": [
-                    {"index": v.index, "t": v.t, "lhs": v.lhs, "rhs": v.rhs, "margin": v.margin}
+                    {"index": v.index, "t": v.t, "lhs": finite_or_none(v.lhs),
+                     "rhs": finite_or_none(v.rhs), "margin": finite_or_none(v.margin)}
                     for v in self.violations
                 ],
                 "rate_functions_used": self.rate_functions_used,
                 "passed": self.passed,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
     def write_witnesses(self, directory):
@@ -239,7 +242,8 @@ def check_condition(
 
     if condition == "C5":
         z = model.initial
-        sup2 = z.window_sup(z.start, z.end) ** 2
+        sup = z.window_sup(z.start, z.end)
+        sup2 = sup * sup          # inf past 1e154, where ** 2 raises OverflowError
         report.samples = 1
         if not np.isfinite(sup2):
             report.violations.append(Violation(0, 0.0, float(sup2), float("inf"), float("inf"), z))

@@ -3,44 +3,26 @@
 Parsing is strict (unknown kinds and unknown keys are rejected with
 suggestions) and collects *every* problem instead of stopping at the first,
 so a long Monte Carlo run never starts on top of silently-defaulted typos.
+
+The schema lives in `_SCHEMAS`: per kind, one ordered row per key giving its
+check, whether it is required, its default and the option it fills.  A key
+whose value is null counts as absent.
 """
 
 from __future__ import annotations
 
+import copy
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import yaml
 
+from .conditions import CONDITIONS
 from .errors import ConfigError
 from .models import MODEL_NAMES, model_param_names
 
 __all__ = ["ExperimentConfig", "parse_config", "KINDS"]
-
-KINDS = (
-    "simulate",
-    "convergence",
-    "verify-gronwall",
-    "lenglart",
-    "counterexample",
-    "check-conditions",
-)
-
-_COMMON_KEYS = {"kind", "seed", "output", "threads"}
-
-_KIND_KEYS = {
-    "simulate": {"model", "model_params", "noise", "n", "T", "replications"},
-    "convergence": {"model", "model_params", "noise", "resolutions", "T", "replications"},
-    "verify-gronwall": {
-        "ensemble", "variant", "p", "replications", "n", "q", "alpha", "mu", "sigma", "x0",
-    },
-    "lenglart": {"mode", "replications", "grid_n", "c", "d", "p"},
-    "counterexample": {"q_values", "p", "alpha", "replications"},
-    "check-conditions": {
-        "model", "model_params", "noise", "conditions", "radius", "samples", "horizon",
-    },
-}
 
 _NOISE_KEYS = {"wiener", "jump_rate", "mark_low", "mark_high", "quadrature_nodes"}
 
@@ -54,127 +36,212 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
 
-def _suggest(key: str, candidates) -> str:
-    close = difflib.get_close_matches(key, sorted(candidates), n=1, cutoff=0.5)
+def _suggest(key, candidates) -> str:
+    close = difflib.get_close_matches(str(key), sorted(candidates), n=1, cutoff=0.5)
     return f" (did you mean '{close[0]}'?)" if close else ""
 
 
-def _numeric_or_numeric_list(v) -> bool:
-    if isinstance(v, bool):
-        return False
-    if isinstance(v, (int, float)):
-        return True
-    return isinstance(v, list) and v and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    )
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-class _Checker:
-    def __init__(self, data: dict, kind: str):
-        self.data = data
-        self.kind = kind
-        self.problems: list[str] = []
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    def unknown_keys(self):
-        allowed = _COMMON_KEYS | _KIND_KEYS[self.kind]
-        for key in self.data:
-            if key not in allowed:
-                self.problems.append(f"unknown key '{key}'{_suggest(key, allowed)}")
 
-    def get(self, key, required=False, default=None):
-        if key not in self.data:
-            if required:
-                self.problems.append(f"missing required key '{key}'")
-            return default
-        return self.data[key]
+def _in_unit(v) -> bool:
+    return _is_number(v) and 0.0 < v < 1.0
 
-    def integer(self, key, required=False, default=None, minimum=None):
-        v = self.get(key, required, default)
-        if v is None or v is default and key not in self.data:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.problems.append(f"'{key}' must be an integer, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.problems.append(f"'{key}' must be >= {minimum}, got {v}")
-            return default
-        return v
 
-    def number(self, key, required=False, default=None, positive=False):
-        v = self.get(key, required, default)
-        if v is None or (v is default and key not in self.data):
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.problems.append(f"'{key}' must be a number, got {v!r}")
-            return default
-        if positive and not v > 0:
-            self.problems.append(f"'{key}' must be positive, got {v}")
-            return default
-        return float(v)
+def _check(*stages, convert=None):
+    """A check of one value: each (what, ok) stage in turn, else "'<key>' must <what>".
 
-    def unit_open(self, key, required=False, default=None):
-        """Exponents of the moment bounds live strictly inside (0, 1)."""
-        v = self.get(key, required, default)
-        if v is None or (v is default and key not in self.data):
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < float(v) < 1.0:
-            self.problems.append(f"'{key}' must lie in (0,1), got {v!r}")
-            return default
-        return float(v)
+    A check takes (key, value, options parsed so far) and returns the option
+    value, or raises ConfigError with every problem it found.
+    """
 
-    def choice(self, key, allowed, required=False, default=None):
-        v = self.get(key, required, default)
-        if v is None or (v is default and key not in self.data):
-            return default
+    def check(key, v, parsed):
+        for what, ok in stages:
+            if not ok(v):
+                raise ConfigError([f"'{key}' must {what}, got {v!r}"])
+        return convert(v) if convert else v
+    return check
+
+
+def _integer(minimum):
+    return _check(("be an integer", _is_int), (f"be >= {minimum}", lambda v: v >= minimum))
+
+
+_NUMBER = ("be a number", _is_number)
+_number = _check(_NUMBER, convert=float)
+_positive = _check(_NUMBER, ("be positive", lambda v: v > 0), convert=float)
+# Exponents of the moment bounds live strictly inside (0, 1).
+_unit = _check(("lie in (0,1)", _in_unit), convert=float)
+_text = _check(("be a string path", lambda v: isinstance(v, str)))
+_mapping = _check(("be a mapping", lambda v: isinstance(v, dict)))
+_conditions = _check(
+    ("be a list drawn from C1..C5", lambda v: isinstance(v, list) and all(c in CONDITIONS for c in v))
+)
+
+
+def _unit_list(item, scalar):
+    """A list of values in (0, 1), one problem per bad entry; `scalar` also takes one number."""
+
+    def check(key, v, parsed):
+        if scalar and not isinstance(v, list):
+            v = [v]
+        if not isinstance(v, list) or not (v or scalar):
+            raise ConfigError([f"'{key}' must be a non-empty list, got {v!r}"])
+        bad = [f"{item} must lie in (0,1), got {x!r}" for x in v if not _in_unit(x)]
+        if bad:
+            raise ConfigError(bad)
+        return [float(x) for x in v]
+    return check
+
+
+def _choice(*allowed):
+    def check(key, v, parsed):
         if v not in allowed:
-            self.problems.append(
-                f"'{key}' must be one of {sorted(allowed)}, got {v!r}{_suggest(str(v), allowed)}"
+            raise ConfigError(
+                [f"'{key}' must be one of {sorted(allowed)}, got {v!r}{_suggest(v, allowed)}"]
             )
-            return default
         return v
+    return check
 
-    def mapping(self, key, default=None):
-        v = self.get(key, False, default)
-        if v is None or (v is default and key not in self.data):
-            return default
-        if not isinstance(v, dict):
-            self.problems.append(f"'{key}' must be a mapping, got {v!r}")
-            return default
-        return v
 
-    def noise_mapping(self, key="noise"):
-        m = self.mapping(key)
-        if m is None:
-            return None
-        for k in m:
-            if k not in _NOISE_KEYS:
-                self.problems.append(f"unknown noise key '{k}'{_suggest(k, _NOISE_KEYS)}")
-        wiener = m.get("wiener", 1)
-        if isinstance(wiener, bool) or not isinstance(wiener, int) or wiener < 0:
-            self.problems.append(f"noise 'wiener' must be an integer >= 0, got {wiener!r}")
-        rate = m.get("jump_rate", 0.0)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate < 0:
-            self.problems.append(f"noise 'jump_rate' must be a number >= 0, got {rate!r}")
-        for bound in ("mark_low", "mark_high"):
-            if bound in m and not _numeric_or_numeric_list(m[bound]):
-                self.problems.append(
-                    f"noise '{bound}' must be a number or list of numbers, got {m[bound]!r}"
-                )
-        return m
-
-    def model_params_mapping(self, model_name):
-        params = self.mapping("model_params", default={})
-        if params is None or model_name is None:
-            return params or {}
-        allowed = model_param_names(model_name)
-        for k, v in params.items():
-            if k not in allowed:
-                self.problems.append(
-                    f"model '{model_name}' does not take parameter '{k}'{_suggest(k, allowed or {''})}"
-                )
-            elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                self.problems.append(f"model parameter '{k}' must be a number, got {v!r}")
+def _model_params(key, params, parsed):
+    _mapping(key, params, parsed)
+    model = parsed.get("model")
+    if model is None:
         return params
+    allowed = model_param_names(model)
+    problems = []
+    for k, v in params.items():
+        if k not in allowed:
+            problems.append(
+                f"model '{model}' does not take parameter '{k}'{_suggest(k, allowed or {''})}"
+            )
+        elif not _is_number(v):
+            problems.append(f"model parameter '{k}' must be a number, got {v!r}")
+    if problems:
+        raise ConfigError(problems)
+    return params
+
+
+def _noise(key, m, parsed):
+    _mapping(key, m, parsed)
+    problems = [
+        f"unknown noise key '{k}'{_suggest(k, _NOISE_KEYS)}" for k in m if k not in _NOISE_KEYS
+    ]
+    wiener = m.get("wiener", 1)
+    if not _is_int(wiener) or wiener < 0:
+        problems.append(f"noise 'wiener' must be an integer >= 0, got {wiener!r}")
+    rate = m.get("jump_rate", 0.0)
+    if not _is_number(rate) or rate < 0:
+        problems.append(f"noise 'jump_rate' must be a number >= 0, got {rate!r}")
+    for bound in ("mark_low", "mark_high"):
+        v = m.get(bound, 0.0)  # absent is fine: build_noise has a default
+        if not (_is_number(v) or isinstance(v, list) and v and all(map(_is_number, v))):
+            problems.append(f"noise '{bound}' must be a number or list of numbers, got {v!r}")
+    if problems:
+        raise ConfigError(problems)
+    return m
+
+
+def _resolutions(key, res, parsed):
+    if not isinstance(res, list) or not res or not all(_is_int(v) and v >= 1 for v in res):
+        raise ConfigError([f"'{key}' must be a non-empty list of integers >= 1, got {res!r}"])
+    if any(max(res) % v for v in res):
+        raise ConfigError(["every resolution must divide the largest one"])
+    return sorted(res)
+
+
+def _gbm_oracle(parsed):
+    """Convergence compares against gbm's closed-form endpoint, so no other model will do."""
+    if parsed.get("model") not in (None, "gbm"):
+        raise ConfigError(["convergence requires the 'gbm' model (closed-form endpoint oracle)"])
+
+
+class _Row(NamedTuple):
+    key: str
+    check: Callable
+    required: bool = False
+    default: Any = None
+    option: Optional[str] = None      # the option it fills; the key itself if None
+    when: Optional[tuple] = None      # (key, value): read only if that key parsed to value
+
+
+_COMMON = (
+    _Row("seed", _integer(0), required=True),
+    _Row("threads", _integer(1), default=1),
+    _Row("output", _text),
+)
+
+_MODEL = (
+    _Row("model", _choice(*MODEL_NAMES), required=True),
+    _Row("model_params", _model_params, default={}),
+    _Row("noise", _noise, default={}),
+)
+
+# Rows are read in order; a plain function between rows is a rule across the
+# keys read before it.
+_SCHEMAS = {
+    "simulate": _COMMON + _MODEL + (
+        _Row("n", _integer(1), required=True),
+        _Row("T", _positive, required=True),
+        _Row("replications", _integer(0), required=True),
+    ),
+    "convergence": _COMMON + _MODEL + (
+        _gbm_oracle,
+        _Row("resolutions", _resolutions, required=True),
+        _Row("T", _positive, required=True),
+        # Two replications at least: the standard errors use ddof=1.
+        _Row("replications", _integer(2), required=True),
+    ),
+    "verify-gronwall": _COMMON + (
+        _Row("ensemble", _choice("gbm-squared", "counterexample"), required=True),
+        _Row("variant", _choice("a", "b", "c"), required=True),
+        _Row("p", _unit_list("'p'", scalar=True), required=True, option="p_values"),
+        _Row("replications", _integer(2), required=True),
+        _Row("n", _integer(1), default=64),
+        _Row("mu", _number, default=0.05),
+        _Row("sigma", _number, default=0.2),
+        _Row("x0", _number, default=1.0),
+        _Row("q", _unit, required=True, when=("ensemble", "counterexample")),
+        _Row("alpha", _unit, required=True, when=("ensemble", "counterexample")),
+    ),
+    "lenglart": _COMMON + (
+        _Row("mode", _choice("tail", "moment"), required=True),
+        _Row("replications", _integer(2), required=True),
+        _Row("grid_n", _integer(1), default=256),
+        _Row("c", _positive, required=True, when=("mode", "tail")),
+        _Row("d", _positive, required=True, when=("mode", "tail")),
+        _Row("p", _unit, required=True, when=("mode", "moment")),
+    ),
+    "counterexample": _COMMON + (
+        _Row("q_values", _unit_list("every q", scalar=False), required=True),
+        _Row("p", _unit, required=True),
+        _Row("alpha", _unit, required=True),
+        _Row("replications", _integer(2), required=True),
+    ),
+    "check-conditions": _COMMON + _MODEL + (
+        _Row("conditions", _conditions, default=list(CONDITIONS)),
+        _Row("radius", _positive, required=True),
+        _Row("samples", _integer(1), required=True),
+        _Row("horizon", _positive, default=1.0),
+    ),
+}
+
+KINDS = tuple(_SCHEMAS)
+
+
+def _read(row: _Row, data: dict, parsed: dict):
+    v = data.get(row.key)
+    if v is None:
+        if row.required:
+            raise ConfigError([f"missing required key '{row.key}'"])
+        return copy.copy(row.default)
+    return row.check(row.key, v, parsed)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -188,114 +255,27 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"top level must be a mapping, got {type(data).__name__}"])
 
-    problems: list[str] = []
     kind = data.get("kind")
     if kind is None:
-        problems.append("missing required key 'kind'")
-    elif kind not in KINDS:
-        problems.append(f"unknown kind {kind!r}{_suggest(str(kind), KINDS)}")
-    if problems:
+        raise ConfigError(["missing required key 'kind'"])
+    if kind not in KINDS:
         # Without a valid kind there is no schema to check the rest against.
+        raise ConfigError([f"unknown kind {kind!r}{_suggest(kind, KINDS)}"])
+
+    schema = _SCHEMAS[kind]
+    allowed = {"kind"} | {row.key for row in schema if isinstance(row, _Row)}
+    problems = [f"unknown key '{k}'{_suggest(k, allowed)}" for k in data if k not in allowed]
+    # Options parsed so far; a row whose value was rejected stays out of it.
+    parsed: dict[str, Any] = {}
+    for row in schema:
+        try:
+            if not isinstance(row, _Row):
+                row(parsed)
+            elif row.when is None or parsed.get(row.when[0]) == row.when[1]:
+                parsed[row.option or row.key] = _read(row, data, parsed)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
+    if problems:
         raise ConfigError(problems)
-
-    ck = _Checker(data, kind)
-    ck.unknown_keys()
-    seed = ck.integer("seed", required=True, minimum=0)
-    threads = ck.integer("threads", default=1, minimum=1)
-    output = ck.get("output")
-    if output is not None and not isinstance(output, str):
-        ck.problems.append(f"'output' must be a string path, got {output!r}")
-
-    opts: dict[str, Any] = {}
-    if kind in ("simulate", "convergence", "check-conditions"):
-        opts["model"] = ck.choice("model", MODEL_NAMES, required=True)
-        opts["model_params"] = ck.model_params_mapping(opts["model"])
-        opts["noise"] = ck.noise_mapping() or {}
-    if kind == "simulate":
-        opts["n"] = ck.integer("n", required=True, minimum=1)
-        opts["T"] = ck.number("T", required=True, positive=True)
-        opts["replications"] = ck.integer("replications", required=True, minimum=0)
-    elif kind == "convergence":
-        if opts.get("model") not in (None, "gbm"):
-            ck.problems.append("convergence requires the 'gbm' model (closed-form endpoint oracle)")
-        res = ck.get("resolutions", required=True)
-        if res is not None:
-            if (
-                not isinstance(res, list)
-                or not res
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in res)
-            ):
-                ck.problems.append(f"'resolutions' must be a non-empty list of integers >= 1, got {res!r}")
-            else:
-                top = max(res)
-                if any(top % v for v in res):
-                    ck.problems.append("every resolution must divide the largest one")
-                opts["resolutions"] = sorted(res)
-        opts["T"] = ck.number("T", required=True, positive=True)
-        # Two replications at least: the standard errors use ddof=1.
-        opts["replications"] = ck.integer("replications", required=True, minimum=2)
-    elif kind == "verify-gronwall":
-        ensemble = ck.choice("ensemble", ("gbm-squared", "counterexample"), required=True)
-        opts["ensemble"] = ensemble
-        opts["variant"] = ck.choice("variant", ("a", "b", "c"), required=True)
-        pv = ck.get("p", required=True)
-        if pv is not None:
-            ps = pv if isinstance(pv, list) else [pv]
-            good = []
-            for v in ps:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < 1.0:
-                    ck.problems.append(f"'p' must lie in (0,1), got {v!r}")
-                else:
-                    good.append(float(v))
-            opts["p_values"] = good
-        opts["replications"] = ck.integer("replications", required=True, minimum=2)
-        opts["n"] = ck.integer("n", default=64, minimum=1)
-        opts["mu"] = ck.number("mu", default=0.05)
-        opts["sigma"] = ck.number("sigma", default=0.2)
-        opts["x0"] = ck.number("x0", default=1.0)
-        if ensemble == "counterexample":
-            opts["q"] = ck.unit_open("q", required=True)
-            opts["alpha"] = ck.unit_open("alpha", required=True)
-    elif kind == "lenglart":
-        mode = ck.choice("mode", ("tail", "moment"), required=True)
-        opts["mode"] = mode
-        opts["replications"] = ck.integer("replications", required=True, minimum=2)
-        opts["grid_n"] = ck.integer("grid_n", default=256, minimum=1)
-        if mode == "tail":
-            opts["c"] = ck.number("c", required=True, positive=True)
-            opts["d"] = ck.number("d", required=True, positive=True)
-        elif mode == "moment":
-            opts["p"] = ck.unit_open("p", required=True)
-    elif kind == "counterexample":
-        qs = ck.get("q_values", required=True)
-        if qs is not None:
-            if not isinstance(qs, list) or not qs:
-                ck.problems.append(f"'q_values' must be a non-empty list, got {qs!r}")
-            else:
-                good = []
-                for v in qs:
-                    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < 1.0:
-                        ck.problems.append(f"every q must lie in (0,1), got {v!r}")
-                    else:
-                        good.append(float(v))
-                opts["q_values"] = good
-        opts["p"] = ck.unit_open("p", required=True)
-        opts["alpha"] = ck.unit_open("alpha", required=True)
-        opts["replications"] = ck.integer("replications", required=True, minimum=2)
-    elif kind == "check-conditions":
-        conds = ck.get("conditions", default=["C1", "C2", "C3", "C4", "C5"])
-        if not isinstance(conds, list) or any(
-            c not in ("C1", "C2", "C3", "C4", "C5") for c in conds
-        ):
-            ck.problems.append(
-                f"'conditions' must be a list drawn from C1..C5, got {conds!r}"
-            )
-        else:
-            opts["conditions"] = conds
-        opts["radius"] = ck.number("radius", required=True, positive=True)
-        opts["samples"] = ck.integer("samples", required=True, minimum=1)
-        opts["horizon"] = ck.number("horizon", default=1.0, positive=True)
-
-    if ck.problems:
-        raise ConfigError(ck.problems)
-    return ExperimentConfig(kind=kind, seed=seed, threads=threads, output=output, options=opts)
+    seed, threads, output = (parsed.pop(k) for k in ("seed", "threads", "output"))
+    return ExperimentConfig(kind=kind, seed=seed, threads=threads, output=output, options=parsed)

@@ -56,6 +56,11 @@ _ASSUMPTION_TOL = 1e-9
 _CHUNK = 4096
 
 
+def finite_or_none(x: float) -> Optional[float]:
+    """x, or None (written as JSON null) where x is infinite or NaN."""
+    return x if math.isfinite(x) else None
+
+
 def c_p(p: float) -> float:
     """The moment-bound constant p^{-p} / (1 - p), for p in (0, 1).
 
@@ -223,15 +228,16 @@ class VerificationReport:
         return json.dumps(
             {
                 "variant": self.variant,
-                "p": self.p,
-                "lhs": self.lhs,
-                "lhs_ci": self.lhs_ci,
-                "rhs": self.rhs,
+                "p": finite_or_none(self.p),
+                "lhs": finite_or_none(self.lhs),
+                "lhs_ci": finite_or_none(self.lhs_ci),
+                "rhs": finite_or_none(self.rhs),
                 "verdict": self.verdict,
                 "replications": self.replications,
                 "seed": self.seed,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
 

@@ -8,6 +8,7 @@ condition checker is expected to catch.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -238,35 +239,31 @@ def geometric_jump_exact_terminal(
     return oracle
 
 
-MODEL_NAMES = ("gbm", "delay-ode", "linear", "superlinear-bad", "additive-jumps", "geometric-jump")
-
 _BUILDERS = {
-    "gbm": (gbm, {"mu", "sigma", "x0", "delay"}),
-    "delay-ode": (delay_ode, set()),
-    "linear": (linear, {"sigma", "delay", "dim", "jump_rate_bound"}),
-    "superlinear-bad": (superlinear_bad, {"delay"}),
-    "additive-jumps": (additive_jumps, {"gamma", "mark_mean", "delay"}),
-    "geometric-jump": (
-        geometric_jump,
-        {"mu", "sigma", "gamma", "mark_mean", "mark_sq_bound", "rate_bound", "x0", "delay"},
-    ),
+    "gbm": gbm,
+    "delay-ode": delay_ode,
+    "linear": linear,
+    "superlinear-bad": superlinear_bad,
+    "additive-jumps": additive_jumps,
+    "geometric-jump": geometric_jump,
 }
+
+MODEL_NAMES = tuple(_BUILDERS)
 
 
 def model_param_names(name: str) -> set:
+    """Keyword parameters of the model's factory."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown model '{name}'; available: {', '.join(sorted(_BUILDERS))}")
-    return set(_BUILDERS[name][1])
+    return set(inspect.signature(_BUILDERS[name]).parameters)
 
 
 def build_model(name: str, params: dict | None = None) -> CoefficientModel:
-    allowed = model_param_names(name)
-    factory = _BUILDERS[name][0]
     params = dict(params or {})
-    bad = set(params) - allowed
+    bad = set(params) - model_param_names(name)
     if bad:
         raise ValueError(f"model '{name}' does not take parameters {sorted(bad)}")
-    return factory(**params)
+    return _BUILDERS[name](**params)
 
 
 def build_noise(

@@ -37,7 +37,6 @@ __all__ = [
     "empirical_covariation",
     "CovariationEstimate",
     "uniform_marks",
-    "wiener_component",
     "mark_rectangle",
     "write_events_csv",
     "write_increments_csv",
@@ -205,8 +204,8 @@ def _mark_average(g, spec: MartingaleMeasureSpec, t: float) -> np.ndarray:
     return acc / nodes.shape[0]
 
 
-def _cell_entries(g, spec, real, l0, l1, compensator, entries):
-    """Append ordered (time, delta, is_jump) entries for realization cells l0..l1.
+def _cell_entries(g, spec, real, l0, l1, compensator):
+    """Ordered (time, delta, is_jump) entries for realization cells l0..l1.
 
     One entry lands at every union point (grid right endpoints and event
     times): each entry collects everything accrued on (previous point, time]:
@@ -226,6 +225,7 @@ def _cell_entries(g, spec, real, l0, l1, compensator, entries):
 
     ev_slice = real.events_between(grid[l0], grid[l1]) if has_jumps else slice(0, 0)
     ev_i = ev_slice.start
+    entries = []
 
     for l in range(l0, l1):
         s0 = float(grid[l])
@@ -280,7 +280,7 @@ def integrate(
     given, else frozen-node quadrature over mu.  Event times are marked as
     genuine jumps on the output path.
     """
-    entries = _cell_entries(g, spec, real, 0, real.grid.size - 1, compensator, [])
+    entries = _cell_entries(g, spec, real, 0, real.grid.size - 1, compensator)
     d = dim
     for _, delta, _ in entries:
         if delta is not None:
@@ -288,11 +288,8 @@ def integrate(
             break
     if d is None:
         d = 1
-    builder = PathBuilder(
-        constant_path(np.zeros(d), float(real.grid[0]), float(real.grid[0])),
-        end=real.horizon,
-        capacity_hint=len(entries) + 1,
-    )
+    start = float(real.grid[0])
+    builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
     level = np.zeros(d)
     for t, delta, is_jump in entries:
         if delta is not None:
@@ -335,17 +332,6 @@ def empirical_covariation(
     return CovariationEstimate(mean, se, mean - z * se, mean + z * se, n)
 
 
-def wiener_component(i: int):
-    """Scalar integrand selecting Wiener component i (zero on everything else)."""
-
-    def g(t, mark):
-        if isinstance(mark, (int, np.integer)):
-            return np.array([1.0 if mark == i else 0.0])
-        return np.array([0.0])
-
-    return g
-
-
 def mark_rectangle(low, high):
     """Scalar indicator integrand of a mark rectangle (zero on Wiener indices)."""
     lo = np.atleast_1d(np.asarray(low, dtype=float))
@@ -369,15 +355,9 @@ def write_events_csv(real: NoiseRealization, fh):
 
 
 def write_increments_csv(real: NoiseRealization, fh):
+    """One row per cell: t_left, t_right, then dW_1..dW_k (no dW columns when k = 0)."""
     wc = real.wiener_increments.shape[1]
-    fh.write("t_left,t_right," + ",".join(f"dW_{i+1}" for i in range(wc)) + "\n")
+    fh.write(",".join(["t_left", "t_right"] + [f"dW_{i+1}" for i in range(wc)]) + "\n")
     for j in range(real.grid.size - 1):
-        row = real.wiener_increments[j]
-        fh.write(
-            repr(float(real.grid[j]))
-            + ","
-            + repr(float(real.grid[j + 1]))
-            + ","
-            + ",".join(repr(float(v)) for v in row)
-            + "\n"
-        )
+        cells = [real.grid[j], real.grid[j + 1], *real.wiener_increments[j]]
+        fh.write(",".join(repr(float(v)) for v in cells) + "\n")

@@ -146,30 +146,20 @@ class PathBuilder:
     existing view, so views stay valid.
     """
 
-    def __init__(self, seed_path: CadlagPath, end: float, capacity_hint: int = 64):
+    def __init__(self, seed_path: CadlagPath, end: float, capacity: int):
+        """Room for exactly `capacity` appends after the seed path's segments."""
         if end < seed_path.end:
             raise ValueError("builder end must extend the seed path")
         m, d = seed_path.values.shape
-        cap = max(capacity_hint + m, 2 * m)
-        self._bp = np.empty(cap, dtype=float)
-        self._vals = np.empty((cap, d), dtype=float)
+        self._bp = np.empty(m + capacity, dtype=float)
+        self._vals = np.empty((m + capacity, d), dtype=float)
         self._bp[:m] = seed_path.breakpoints
         self._vals[:m] = seed_path.values
         self._n = m
         self._end = float(end)
         self._jumps: list[float] = list(seed_path.jump_times)
 
-    def _grow(self):
-        cap = 2 * self._bp.shape[0]
-        bp = np.empty(cap, dtype=float)
-        vals = np.empty((cap, self._vals.shape[1]), dtype=float)
-        bp[: self._n] = self._bp[: self._n]
-        vals[: self._n] = self._vals[: self._n]
-        self._bp, self._vals = bp, vals
-
     def append(self, t: float, value: np.ndarray, *, jump: bool = False):
-        if self._n == self._bp.shape[0]:
-            self._grow()
         if t <= self._bp[self._n - 1]:
             raise ValueError(f"appends must strictly increase in time ({t})")
         self._bp[self._n] = t

@@ -15,6 +15,7 @@ value is accepted and has no effect.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +33,7 @@ from .gronwall import (
     lenglart_tail,
     verify_gronwall,
 )
-from .models import build_model, build_noise, gbm_exact_terminal
+from .models import build_model, build_noise, gbm, gbm_exact_terminal
 from .solver import euler_solve, strong_convergence
 from .streams import stream
 
@@ -78,12 +79,11 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
 
 def _run_convergence(cfg: ExperimentConfig, out: Path):
     o = cfg.options
-    params = dict(o["model_params"])
-    model = build_model(o["model"], params)
-    spec = build_noise(**(o["noise"] or {"wiener": 1}))
-    oracle = gbm_exact_terminal(
-        params.get("mu", 0.05), params.get("sigma", 0.2), params.get("x0", 1.0), o["T"]
-    )
+    model = build_model(o["model"], o["model_params"])
+    spec = build_noise(**o["noise"])
+    params = {k: v.default for k, v in inspect.signature(gbm).parameters.items()}
+    params.update(o["model_params"])
+    oracle = gbm_exact_terminal(params["mu"], params["sigma"], params["x0"], o["T"])
     rep = strong_convergence(
         model, spec, o["resolutions"], o["T"], o["replications"], cfg.seed, oracle
     )

@@ -146,11 +146,9 @@ def euler_solve(
     f = _wrap_coefficient(model.drift, "drift", replication)
     g = _wrap_coefficient(model.jump, "jump", replication)
 
-    n_events = realization.event_times.size
-    builder = PathBuilder(
-        model.initial, end=float(realization.grid[-1]),
-        capacity_hint=realization.grid.size + n_events + 2,
-    )
+    # One append per cell and per event, fewer where an event lands on the grid.
+    appends = realization.grid.size - 1 + realization.event_times.size
+    builder = PathBuilder(model.initial, float(realization.grid[-1]), appends)
     x = np.array(model.initial.value_at(0.0), dtype=float)
     guard = explosion_bound
 
@@ -161,7 +159,7 @@ def euler_solve(
         comp = None
         if model.compensator is not None:
             comp = lambda t, _h=frozen: model.compensator(t, _h)
-        entries = _cell_entries(g_frozen, spec, realization, bidx[k], bidx[k + 1], comp, [])
+        entries = _cell_entries(g_frozen, spec, realization, bidx[k], bidx[k + 1], comp)
         u = t0
         for t, delta, is_jump in entries:
             x = x + np.asarray(f(u, frozen), dtype=float) * (t - u)

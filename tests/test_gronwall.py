@@ -149,6 +149,13 @@ class TestVerify:
                              "replications", "seed"}
         assert data["verdict"] == "holds"
 
+    def test_report_serialization_writes_non_finite_as_null(self):
+        import json
+
+        rep = s.VerificationReport("a", 0.5, math.inf, math.nan, 1.0, "violated", 2)
+        data = json.loads(rep.to_json())
+        assert (data["lhs"], data["lhs_ci"], data["rhs"]) == (None, None, 1.0)
+
 
 class TestLenglartTail:
     def test_deterministic_pair(self):

@@ -262,3 +262,30 @@ def test_debug_dump_formats():
     lines = inc.getvalue().strip().split("\n")
     assert lines[0] == "t_left,t_right,dW_1,dW_2"
     assert len(lines) == 1 + real.grid.size - 1
+
+
+def _realization(wiener_increments):
+    return s.NoiseRealization(
+        np.array([0.0, 0.5, 1.0]), np.asarray(wiener_increments, dtype=float).reshape(2, -1),
+        np.empty(0), np.empty((0, 1)),
+    )
+
+
+def test_increments_csv_bytes_with_wiener_columns():
+    import io
+
+    from sdelab.noise import write_increments_csv
+
+    out = io.StringIO()
+    write_increments_csv(_realization([[0.1, -0.25], [0.3, 2.0]]), out)
+    assert out.getvalue() == "t_left,t_right,dW_1,dW_2\n0.0,0.5,0.1,-0.25\n0.5,1.0,0.3,2.0\n"
+
+
+def test_increments_csv_without_wiener_columns():
+    import io
+
+    from sdelab.noise import write_increments_csv
+
+    out = io.StringIO()
+    write_increments_csv(_realization(np.empty((2, 0))), out)
+    assert out.getvalue() == "t_left,t_right\n0.0,0.5\n0.5,1.0\n"

@@ -178,6 +178,24 @@ class TestCheckConditionsRunner:
         )
         assert code == 0
 
+    def test_c5_overflowing_initial_segment_is_a_violation(self, tmp_path):
+        # sup^2 of 1e200 overflows a float: C5 fails, and the report stays strict JSON.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            "kind: check-conditions\nmodel: gbm\nmodel_params: {x0: 1.0e+200}\n"
+            "conditions: [C5]\nradius: 1.0\nsamples: 1\nseed: 7\n"
+        )
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 2
+
+        def reject(token):
+            raise AssertionError(f"non-strict JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        (c5,) = report["results"]["conditions"]
+        assert c5["condition"] == "C5" and not c5["passed"]
+        assert c5["violations"] == [{"index": 0, "t": 0.0, "lhs": None, "rhs": None, "margin": None}]
+
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
