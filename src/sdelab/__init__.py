@@ -22,7 +22,6 @@ from .solver import (
     kappa,
     euler_grid,
     euler_solve,
-    remainder,
     coarsen_noise,
     resolution_gap,
     strong_convergence,
@@ -41,7 +40,7 @@ from .gronwall import (
     gbm_squared_ensemble,
     brownian_square_pairs,
 )
-from .conditions import check_condition, evaluate_condition, suggest_rate, ConditionReport
+from .conditions import check_condition, evaluate_condition, ConditionReport
 from .config import ExperimentConfig, parse_config
 from .runner import run_experiment
 from .streams import stream
@@ -65,7 +64,6 @@ __all__ = [
     "kappa",
     "euler_grid",
     "euler_solve",
-    "remainder",
     "coarsen_noise",
     "resolution_gap",
     "strong_convergence",
@@ -83,7 +81,6 @@ __all__ = [
     "brownian_square_pairs",
     "check_condition",
     "evaluate_condition",
-    "suggest_rate",
     "ConditionReport",
     "ExperimentConfig",
     "parse_config",

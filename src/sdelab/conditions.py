@@ -17,11 +17,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EstimationError
 from .gronwall import finite_or_none
 from .noise import MartingaleMeasureSpec
 from .paths import CadlagPath, sup_distance, write_path_csv
@@ -34,7 +33,6 @@ __all__ = [
     "ConditionReport",
     "check_condition",
     "evaluate_condition",
-    "suggest_rate",
     "random_path_sampler",
 ]
 
@@ -264,43 +262,3 @@ def check_condition(
             )
     return report
 
-
-def suggest_rate(
-    model: CoefficientModel,
-    spec: MartingaleMeasureSpec,
-    condition: str,
-    radius: float,
-    t_grid: Sequence[float],
-    samples: int = 1000,
-    seed: int = 0,
-    sampler: Optional[Callable] = None,
-) -> CadlagPath:
-    """Empirical envelope: smallest constant-in-the-sample rate compatible with draws.
-
-    For each grid time, the max over samples of lhs / denominator, where the
-    denominator is the sup-norm factor of the condition (1 for C4).  Returned
-    as a step function; zero-denominator samples are excluded, and a time
-    where everything is excluded is an estimation error.
-    """
-    if condition not in ("C1", "C2", "C4"):
-        raise ValueError("rate suggestion applies to C1, C2 and C4 only")
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("empty t grid")
-    sampler = sampler or random_path_sampler(model, radius, horizon=float(t_grid[-1]) or 1.0)
-    env = np.full(t_grid.size, -np.inf)
-    counted = np.zeros(t_grid.size, dtype=int)
-    for i in range(samples):
-        rng = stream(seed, i)
-        _, x, y = sampler(rng)
-        for j, t in enumerate(t_grid):
-            if t <= x.start:
-                continue
-            lhs, denom = _condition_terms(model, spec, condition, t, x, y)
-            if denom < 1e-12:
-                continue
-            env[j] = max(env[j], lhs / denom)
-            counted[j] += 1
-    if np.any(counted == 0):
-        raise EstimationError("every sample was excluded at some grid time")
-    return CadlagPath(t_grid, env[:, None], float(t_grid[-1]))

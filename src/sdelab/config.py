@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import difflib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -49,6 +50,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A number that converts to a finite float; an int past 1.8e308 does not."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _in_unit(v) -> bool:
     return _is_number(v) and 0.0 < v < 1.0
 
@@ -73,8 +82,10 @@ def _integer(minimum):
 
 
 _NUMBER = ("be a number", _is_number)
-_number = _check(_NUMBER, convert=float)
-_positive = _check(_NUMBER, ("be positive", lambda v: v > 0), convert=float)
+# Last, so that a value rejected by an earlier stage keeps that stage's message.
+_FINITE = ("be finite and fit a float", _is_finite)
+_number = _check(_NUMBER, _FINITE, convert=float)
+_positive = _check(_NUMBER, ("be positive", lambda v: v > 0), _FINITE, convert=float)
 # Exponents of the moment bounds live strictly inside (0, 1).
 _unit = _check(("lie in (0,1)", _in_unit), convert=float)
 _text = _check(("be a string path", lambda v: isinstance(v, str)))
@@ -123,6 +134,8 @@ def _model_params(key, params, parsed):
             )
         elif not _is_number(v):
             problems.append(f"model parameter '{k}' must be a number, got {v!r}")
+        elif not _is_finite(v):
+            problems.append(f"model parameter '{k}' must {_FINITE[0]}, got {v!r}")
     if problems:
         raise ConfigError(problems)
     return params
@@ -139,10 +152,15 @@ def _noise(key, m, parsed):
     rate = m.get("jump_rate", 0.0)
     if not _is_number(rate) or rate < 0:
         problems.append(f"noise 'jump_rate' must be a number >= 0, got {rate!r}")
+    elif not _is_finite(rate):
+        problems.append(f"noise 'jump_rate' must {_FINITE[0]}, got {rate!r}")
     for bound in ("mark_low", "mark_high"):
         v = m.get(bound, 0.0)  # absent is fine: build_noise has a default
-        if not (_is_number(v) or isinstance(v, list) and v and all(map(_is_number, v))):
+        if not (_is_finite(v) or isinstance(v, list) and v and all(map(_is_finite, v))):
             problems.append(f"noise '{bound}' must be a number or list of numbers, got {v!r}")
+    nodes = m.get("quadrature_nodes", 64)
+    if not _is_int(nodes) or nodes < 1:
+        problems.append(f"noise 'quadrature_nodes' must be an integer >= 1, got {nodes!r}")
     if problems:
         raise ConfigError(problems)
     return m
@@ -157,9 +175,16 @@ def _resolutions(key, res, parsed):
 
 
 def _gbm_oracle(parsed):
-    """Convergence compares against gbm's closed-form endpoint, so no other model will do."""
+    """Convergence compares against gbm's closed-form endpoint, which is driven by
+    one Brownian path, so no other model and no other Wiener count will do."""
+    problems = []
     if parsed.get("model") not in (None, "gbm"):
-        raise ConfigError(["convergence requires the 'gbm' model (closed-form endpoint oracle)"])
+        problems.append("convergence requires the 'gbm' model (closed-form endpoint oracle)")
+    wiener = parsed.get("noise", {}).get("wiener", 1)
+    if wiener != 1:
+        problems.append(f"noise 'wiener' must be 1 for convergence, got {wiener!r}")
+    if problems:
+        raise ConfigError(problems)
 
 
 class _Row(NamedTuple):

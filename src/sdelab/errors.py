@@ -30,15 +30,11 @@ class ModelError(SdeLabError, RuntimeError):
 
 
 class ExplosionError(ModelError):
-    """Trajectory left the configured guard radius."""
+    """The Euler state became infinite or NaN."""
 
 
 class EnsembleError(SdeLabError, ValueError):
     """Ensemble construction rejected (assumption inequality or shape invariants violated)."""
-
-
-class EstimationError(SdeLabError, RuntimeError):
-    """An empirical estimate could not be formed (e.g. every sample excluded)."""
 
 
 class ConfigError(SdeLabError, ValueError):

@@ -42,7 +42,6 @@ __all__ = [
     "counterexample_ensemble",
     "gbm_squared_ensemble",
     "brownian_square_pairs",
-    "constant_pairs",
 ]
 
 # One-sided 99% normal quantile.
@@ -375,14 +374,8 @@ def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
         yield stream(seed, k).standard_normal((take, steps)) * math.sqrt(dt)
 
 
-def brownian_square_pairs(
-    replications: int,
-    grid_n: int,
-    seed: int,
-    *,
-    horizon: float = 1.0,
-):
-    """Certified pair X(t) = B(t)^2, G(t) = t on [0, horizon], on a uniform grid.
+def brownian_square_pairs(replications: int, grid_n: int, seed: int):
+    """Certified pair X(t) = B(t)^2, G(t) = t on [0, 1], on a uniform grid.
 
     E[B(tau)^2] = E[tau] for bounded stopping times, so G dominates X in the
     stopped-expectation sense; G is deterministic, hence predictable.  Returns
@@ -390,23 +383,16 @@ def brownian_square_pairs(
     vectorised chunks to keep memory flat at large counts, G is the one
     shared deterministic path, repeated.
     """
-    ts = np.linspace(0.0, horizon, grid_n + 1)
-    g_path = CadlagPath(ts, ts[:, None].copy(), horizon)
-    dt = horizon / grid_n
+    ts = np.linspace(0.0, 1.0, grid_n + 1)
+    g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)
 
     def x_paths():
-        for incr in _brownian_increments(replications, grid_n, dt, seed):
+        for incr in _brownian_increments(replications, grid_n, 1.0 / grid_n, seed):
             b = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=1)], axis=1)
             for row in b * b:
-                yield CadlagPath._trusted(ts, row[:, None], horizon)
+                yield CadlagPath._trusted(ts, row[:, None], 1.0)
 
     return x_paths(), (g_path for _ in range(replications))
-
-
-def constant_pairs(value: float, replications: int, horizon: float = 1.0):
-    """Deterministic pair X = G = const >= 0 (domination with equality)."""
-    p = CadlagPath(np.array([0.0]), np.array([[float(value)]]), horizon)
-    return [p] * replications, [p] * replications
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +496,8 @@ def gbm_squared_ensemble(
     sigma: float = 0.2,
     x0: float = 1.0,
     n: int = 64,
-    horizon: float = 1.0,
 ) -> GronwallEnsemble:
-    """Certified ensemble from the squared Euler scheme of a geometric diffusion.
+    """Certified ensemble on [0, 1] from the squared Euler scheme of a geometric diffusion.
 
     With S_{k+1} = S_k (1 + mu dt + sigma dW_k) and Y = S^2, the discrete
     identity Y_j = Y_0 + K sum_{k<j} Y_k dt + M_j holds exactly for K = 2 mu +
@@ -522,19 +507,18 @@ def gbm_squared_ensemble(
     assumption inequality with the linear clock A(u) = K u and deterministic
     H(t) = Y_0 + K t, so H is predictable and M has no (marked) jumps at all.
     """
-    steps = round(n * horizon)
-    if abs(steps - n * horizon) > 1e-9 or steps < 1:
-        raise ValueError("horizon must be a whole number of 1/n cells")
-    dt = horizon / steps
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dt = 1.0 / n
     K = 2.0 * mu + sigma * sigma + mu * mu * dt
-    ts = np.arange(steps + 1) * dt
-    h_path = CadlagPath(ts, (x0 * x0 + K * ts)[:, None].copy(), horizon)
+    ts = np.arange(n + 1) * dt
+    h_path = CadlagPath(ts, (x0 * x0 + K * ts)[:, None].copy(), 1.0)
     xs, ms = [], []
-    for dW in _brownian_increments(replications, steps, dt, seed):
+    for dW in _brownian_increments(replications, n, dt, seed):
         take = len(dW)
-        s = np.empty((take, steps + 1))
+        s = np.empty((take, n + 1))
         s[:, 0] = x0
-        for k in range(steps):
+        for k in range(n):
             s[:, k + 1] = s[:, k] * (1.0 + mu * dt + sigma * dW[:, k])
         y = s * s
         drift_cum = np.concatenate(
@@ -542,14 +526,14 @@ def gbm_squared_ensemble(
         )
         m = y - y[:, :1] - drift_cum
         for r in range(take):
-            xs.append(CadlagPath._trusted(ts, y[r][:, None], horizon))
-            ms.append(CadlagPath._trusted(ts, m[r][:, None], horizon))
+            xs.append(CadlagPath._trusted(ts, y[r][:, None], 1.0))
+            ms.append(CadlagPath._trusted(ts, m[r][:, None], 1.0))
     return GronwallEnsemble(
         xs,
         ms,
         [h_path] * replications,
         MonotoneFunction(lambda u, _K=K: _K * u),
-        horizon=horizon,
+        horizon=1.0,
         p=p,
         h_predictable=True,
         seed=seed,

@@ -38,8 +38,6 @@ __all__ = [
     "CovariationEstimate",
     "uniform_marks",
     "mark_rectangle",
-    "write_events_csv",
-    "write_increments_csv",
 ]
 
 # Fixed key for the compensator quadrature nodes.  The nodes are a
@@ -346,18 +344,3 @@ def mark_rectangle(low, high):
 
     return g
 
-
-def write_events_csv(real: NoiseRealization, fh):
-    k = real.event_marks.shape[1]
-    fh.write("time," + ",".join(f"mark_{i+1}" for i in range(k)) + "\n")
-    for t, m in zip(real.event_times, real.event_marks):
-        fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in m) + "\n")
-
-
-def write_increments_csv(real: NoiseRealization, fh):
-    """One row per cell: t_left, t_right, then dW_1..dW_k (no dW columns when k = 0)."""
-    wc = real.wiener_increments.shape[1]
-    fh.write(",".join(["t_left", "t_right"] + [f"dW_{i+1}" for i in range(wc)]) + "\n")
-    for j in range(real.grid.size - 1):
-        cells = [real.grid[j], real.grid[j + 1], *real.wiener_increments[j]]
-        fh.write(",".join(repr(float(v)) for v in cells) + "\n")

@@ -98,23 +98,18 @@ class CadlagPath:
         i = int(np.searchsorted(self.breakpoints, t, side="left")) - 1
         return self.values[i]
 
-    def window_sup(self, a: float, b: float, *, include_right: bool = True) -> float:
-        """sup of the euclidean norm |x(t)| over t in [a, b] (or [a, b) if not include_right).
+    def window_sup(self, a: float, b: float) -> float:
+        """sup of the euclidean norm |x(t)| over t in the closed window [a, b].
 
         For a piecewise-constant path this is the exact max over segments
-        meeting the window; the closed version includes the value AT b.
+        meeting the window, the value AT b included.
         """
         if a > b:
             raise ValueError(f"empty window: a={a} > b={b}")
         self._check_domain(a)
         self._check_domain(b)
         lo = int(np.searchsorted(self.breakpoints, a, side="right")) - 1
-        if include_right:
-            hi = int(np.searchsorted(self.breakpoints, b, side="right")) - 1
-        else:
-            if b <= a:
-                raise ValueError(f"half-open window [{a}, {b}) is empty")
-            hi = int(np.searchsorted(self.breakpoints, b, side="left")) - 1
+        hi = int(np.searchsorted(self.breakpoints, b, side="right")) - 1
         chunk = self.values[lo : hi + 1]
         if chunk.shape[1] == 1:
             return float(np.max(np.abs(chunk)))

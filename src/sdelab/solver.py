@@ -25,7 +25,6 @@ __all__ = [
     "kappa",
     "euler_grid",
     "euler_solve",
-    "remainder",
     "coarsen_noise",
     "resolution_gap",
     "GapEstimate",
@@ -122,7 +121,6 @@ def euler_solve(
     stream_id=None,
     *,
     realization: Optional[NoiseRealization] = None,
-    explosion_bound: Optional[float] = None,
     replication: Optional[int] = None,
 ) -> CadlagPath:
     """Euler approximation on [-tau, T], equal to the initial segment on [-tau, 0].
@@ -130,8 +128,7 @@ def euler_solve(
     The realization defaults to a fresh sample on the Euler grid; a finer
     realization (every boundary k/n on its grid) is accepted so coupled
     resolutions can consume shared noise.  Deterministic given the stream.
-    Raises ExplosionError if the state leaves the guard radius or is not
-    finite.
+    Raises ExplosionError if the state is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -150,7 +147,6 @@ def euler_solve(
     appends = realization.grid.size - 1 + realization.event_times.size
     builder = PathBuilder(model.initial, float(realization.grid[-1]), appends)
     x = np.array(model.initial.value_at(0.0), dtype=float)
-    guard = explosion_bound
 
     for k in range(bidx.size - 1):
         t0 = float(realization.grid[bidx[k]])
@@ -167,12 +163,8 @@ def euler_solve(
                 x = x + delta
             builder.append(t, x, jump=is_jump)
             u = t
-            if guard is not None and float(np.sqrt(x @ x)) > guard:
-                raise ExplosionError(
-                    f"|X| exceeded the guard radius {guard}", t=t, replication=replication
-                )
     path = builder.finish()
-    # NaN passes the guard test above, so finiteness is checked once per solve.
+    # Finiteness is checked once per solve, at the first bad breakpoint.
     finite = np.isfinite(path.values).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -180,49 +172,6 @@ def euler_solve(
             "state is not finite", t=float(path.breakpoints[bad]), replication=replication
         )
     return path
-
-
-def remainder(
-    model: CoefficientModel,
-    spec: MartingaleMeasureSpec,
-    n: int,
-    T: float,
-    stream_id=None,
-    *,
-    realization: Optional[NoiseRealization] = None,
-    refine: int = 8,
-) -> CadlagPath:
-    """The gap X(kappa(n, t)) - X(t) between frozen and current Euler state.
-
-    The within-cell motion of the scheme is only visible at sub-cell
-    breakpoints, so the solve consumes noise on a grid `refine` times finer
-    than the Euler cells (the scheme itself is unchanged: histories stay
-    frozen at the cell starts).
-
-    The true gap process is zero just after every grid point but generally
-    nonzero AT it, so it is not right-continuous there; what is returned is
-    its right-continuous modification (value 0 at each k/n, with the pre-gap
-    recoverable as the left limit wherever X itself does not jump).
-    """
-    if realization is None:
-        if stream_id is None:
-            raise ValueError("need either a stream id or a pre-sampled realization")
-        realization = sample_noise(spec, euler_grid(n * max(1, refine), T), stream_id)
-    path = euler_solve(model, spec, n, T, realization=realization)
-    boundaries = euler_grid(n, T)
-    pts = np.union1d(path.breakpoints, boundaries)
-    values = np.empty((pts.size, path.dimension))
-    anchor_i = 0
-    anchor_val = path.value_at(0.0) if pts[0] >= 0 else None
-    for j, u in enumerate(pts):
-        if u <= 0:
-            values[j] = 0.0
-            continue
-        while anchor_i + 1 < boundaries.size and boundaries[anchor_i + 1] <= u:
-            anchor_i += 1
-        anchor_val = path.value_at(float(boundaries[anchor_i]))
-        values[j] = anchor_val - path.value_at(float(u))
-    return CadlagPath(pts, values, path.end)
 
 
 def coarsen_noise(real: NoiseRealization, factor: int) -> NoiseRealization:

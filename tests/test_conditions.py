@@ -5,24 +5,11 @@ import numpy as np
 import pytest
 
 import sdelab as s
-from sdelab.errors import EstimationError
 from sdelab.models import delay_ode, gbm, geometric_jump, linear, superlinear_bad
 from sdelab.paths import constant_path
 
 NO_NOISE = s.MartingaleMeasureSpec(wiener_count=0)
 ONE_WIENER = s.MartingaleMeasureSpec(wiener_count=1)
-
-
-def zero_model():
-    return s.CoefficientModel(
-        dim=1, delay=1.0,
-        drift=lambda t, h: np.zeros(1),
-        jump=lambda t, h, m: np.zeros(1),
-        initial=constant_path(0.0, -1.0, 0.0),
-        lipschitz_rate=lambda t, R: 0.0,
-        growth_rate=lambda t: 1e-9,
-        bound_rate=lambda t, R: 0.0,
-    )
 
 
 class TestCertifiedModels:
@@ -104,57 +91,6 @@ class TestKnownBad:
         small_idx = {v.index for v in small.violations}
         large_idx = {v.index for v in large.violations}
         assert small_idx <= large_idx
-
-
-class TestRateSuggestion:
-    def test_linear_c1_envelope_below_declared(self):
-        env = s.suggest_rate(linear(sigma=0.5), ONE_WIENER, "C1", radius=5.0,
-                             t_grid=[0.25, 0.5, 1.0], samples=500, seed=3)
-        assert np.all(env.values <= 2.0 + 1e-9)
-
-    def test_zero_model_zero_envelope(self):
-        env = s.suggest_rate(zero_model(), NO_NOISE, "C2", radius=2.0,
-                             t_grid=[0.5, 1.0], samples=200, seed=1)
-        assert np.all(env.values == 0.0)
-
-    def test_envelope_grows_with_samples(self):
-        model = gbm()
-        kw = dict(radius=4.0, t_grid=[0.5, 1.0], seed=5)
-        small = s.suggest_rate(model, ONE_WIENER, "C2", samples=300, **kw)
-        large = s.suggest_rate(model, ONE_WIENER, "C2", samples=900, **kw)
-        assert np.all(large.values >= small.values - 1e-15)
-
-    @pytest.mark.parametrize("condition", ["C1", "C2", "C4"])
-    def test_envelope_is_lhs_over_rhs_at_unit_rate(self, condition):
-        # With every rate equal to 1, rhs is the sup-norm factor itself, so
-        # the suggested envelope of a single draw is exactly lhs / rhs.
-        base = geometric_jump()
-        model = s.CoefficientModel(
-            dim=1, delay=1.0, drift=lambda t, h: h.value_at(t) * np.abs(h.value_at(t)),
-            jump=base.jump, initial=base.initial,
-            lipschitz_rate=lambda t, R: 1.0, growth_rate=lambda t: 1.0,
-            bound_rate=lambda t, R: 1.0,
-        )
-        spec = s.MartingaleMeasureSpec(
-            wiener_count=1, intensity=lambda t: 2.0, intensity_bound=2.0,
-            mark_sampler=s.uniform_marks(0.0, 1.0), quadrature_nodes=8,
-        )
-        x = s.CadlagPath([-1.0, -0.2, 0.3], [[0.4], [-1.3], [0.9]], 1.0)
-        y = s.CadlagPath([-1.0, 0.1], [[-0.7], [0.25]], 1.0)
-        t = 0.6
-        lhs, rhs = s.evaluate_condition(model, spec, condition, t, x, y, radius=2.0)
-        env = s.suggest_rate(model, spec, condition, radius=2.0, t_grid=[t], samples=1,
-                             sampler=lambda rng: (t, x, y))
-        assert env.values[0, 0] == lhs / rhs
-
-    def test_all_excluded_is_estimation_error(self):
-        def degenerate(rng):
-            x = constant_path(1.0, -1.0, 1.0)
-            return 0.5, x, x  # identical pair: zero C1 denominator
-
-        with pytest.raises(EstimationError):
-            s.suggest_rate(linear(), ONE_WIENER, "C1", radius=2.0, t_grid=[0.5],
-                           samples=20, seed=0, sampler=degenerate)
 
 
 def test_unknown_condition_rejected():

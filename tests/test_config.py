@@ -112,6 +112,24 @@ def test_convergence_needs_two_replications():
     assert any("'replications' must be >= 2" in p for p in probs)
 
 
+def validate_exit(text, tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    return cli_main(["validate", str(cfg)])
+
+
+@pytest.mark.parametrize("wiener", [0, 2])
+def test_convergence_needs_one_wiener_component(wiener, tmp_path):
+    # The gbm oracle reads one Brownian path: with two the errors stay flat
+    # and the slope is noise, with none the oracle fails at run time.
+    text = (
+        f"kind: convergence\nmodel: gbm\nnoise: {{wiener: {wiener}}}\n"
+        "resolutions: [8, 16, 32]\nT: 1.0\nreplications: 200\nseed: 1\n"
+    )
+    assert problems_of(text) == [f"noise 'wiener' must be 1 for convergence, got {wiener}"]
+    assert validate_exit(text, tmp_path) == 1
+
+
 def test_resolutions_must_nest():
     probs = problems_of(
         "kind: convergence\nmodel: gbm\nresolutions: [8, 12]\nT: 1.0\n"
@@ -166,6 +184,46 @@ def test_null_optional_value_takes_default():
     cfg = parse_config(MINIMAL_SIMULATE + "noise:\nmodel_params:\noutput:\nthreads:\n")
     assert (cfg.threads, cfg.output) == (1, None)
     assert cfg.options["noise"] == {} and cfg.options["model_params"] == {}
+
+
+BIG = "1" + "0" * 400  # an integer past the float range
+FIT = "must be finite and fit a float, got"
+CHECK_CONDITIONS = "kind: check-conditions\nmodel: geometric-jump\nradius: 1.0\nsamples: 2\nseed: 1\n"
+NOT_FINITE = {
+    "T-inf": (MINIMAL_SIMULATE.replace("T: 1.0", "T: .inf"), f"'T' {FIT} inf"),
+    "T-big": (MINIMAL_SIMULATE.replace("T: 1.0", f"T: {BIG}"), f"'T' {FIT} {BIG}"),
+    "jump_rate-big": (MINIMAL_SIMULATE + f"noise: {{jump_rate: {BIG}}}\n", f"noise 'jump_rate' {FIT} {BIG}"),
+    "jump_rate-nan": (MINIMAL_SIMULATE + "noise: {jump_rate: .nan}\n", f"noise 'jump_rate' {FIT} nan"),
+    "mark_high-inf": (
+        MINIMAL_SIMULATE + "noise: {mark_high: .inf}\n",
+        "noise 'mark_high' must be a number or list of numbers, got inf",
+    ),
+    "mu-param-big": (MINIMAL_SIMULATE + f"model_params: {{mu: {BIG}}}\n", f"model parameter 'mu' {FIT} {BIG}"),
+    "radius-inf": (CHECK_CONDITIONS.replace("radius: 1.0", "radius: .inf"), f"'radius' {FIT} inf"),
+    "mu-nan": (VERIFY_GRONWALL + "mu: .nan\n", f"'mu' {FIT} nan"),
+}
+
+
+@pytest.mark.parametrize("text, problem", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+def test_numbers_must_be_finite_floats(text, problem, tmp_path):
+    assert problems_of(text) == [problem]
+    assert validate_exit(text, tmp_path) == 1
+
+
+def test_non_finite_values_rejected_before_keep_their_message():
+    for value, problem in [(".nan", "must be positive, got nan"), ("-.inf", "must be positive, got -inf")]:
+        assert problems_of(MINIMAL_SIMULATE.replace("T: 1.0", f"T: {value}")) == [f"'T' {problem}"]
+    assert problems_of(MINIMAL_SIMULATE + "noise: {jump_rate: -.inf}\n") == [
+        "noise 'jump_rate' must be a number >= 0, got -inf"
+    ]
+
+
+@pytest.mark.parametrize("nodes", ["x", "null", "0", "1.5"])
+def test_quadrature_nodes_must_be_a_positive_integer(nodes, tmp_path):
+    text = CHECK_CONDITIONS + f"noise: {{wiener: 1, jump_rate: 2.0, quadrature_nodes: {nodes}}}\n"
+    value = yaml.safe_load(f"v: {nodes}")["v"]
+    assert problems_of(text) == [f"noise 'quadrature_nodes' must be an integer >= 1, got {value!r}"]
+    assert validate_exit(text, tmp_path) == 1
 
 
 _KNOWN_KEYS = [

@@ -8,7 +8,13 @@ import pytest
 
 import sdelab as s
 from sdelab.errors import EnsembleError
-from sdelab.gronwall import constant_pairs
+
+
+def constant_pairs(value: float, replications: int):
+    """Deterministic pair X = G = const >= 0 on [0, 1] (domination with equality)."""
+    p = s.CadlagPath(np.array([0.0]), np.array([[float(value)]]), 1.0)
+    return [p] * replications, [p] * replications
+
 
 # E[sup_{[0,1]} |B|] (expected maximum of |Brownian motion|).
 SUP_ABS_BM_MEAN = math.sqrt(math.pi / 2.0)

@@ -240,52 +240,3 @@ class TestCovariation:
         p = s.integrate(lambda t, m: np.array([1.0]), spec, real, dim=1)
         with pytest.raises(ValueError):
             s.empirical_covariation([p, p], [p])
-
-
-def test_debug_dump_formats():
-    import io
-
-    from sdelab.noise import write_events_csv, write_increments_csv
-
-    spec = s.MartingaleMeasureSpec(
-        wiener_count=2, intensity=lambda t: 3.0, intensity_bound=3.0,
-        mark_sampler=s.uniform_marks([0.0, 0.0], [1.0, 1.0]),
-    )
-    real = s.sample_noise(spec, GRID, (17, 0))
-    ev = io.StringIO()
-    write_events_csv(real, ev)
-    lines = ev.getvalue().strip().split("\n")
-    assert lines[0] == "time,mark_1,mark_2"
-    assert len(lines) == 1 + real.event_times.size
-    inc = io.StringIO()
-    write_increments_csv(real, inc)
-    lines = inc.getvalue().strip().split("\n")
-    assert lines[0] == "t_left,t_right,dW_1,dW_2"
-    assert len(lines) == 1 + real.grid.size - 1
-
-
-def _realization(wiener_increments):
-    return s.NoiseRealization(
-        np.array([0.0, 0.5, 1.0]), np.asarray(wiener_increments, dtype=float).reshape(2, -1),
-        np.empty(0), np.empty((0, 1)),
-    )
-
-
-def test_increments_csv_bytes_with_wiener_columns():
-    import io
-
-    from sdelab.noise import write_increments_csv
-
-    out = io.StringIO()
-    write_increments_csv(_realization([[0.1, -0.25], [0.3, 2.0]]), out)
-    assert out.getvalue() == "t_left,t_right,dW_1,dW_2\n0.0,0.5,0.1,-0.25\n0.5,1.0,0.3,2.0\n"
-
-
-def test_increments_csv_without_wiener_columns():
-    import io
-
-    from sdelab.noise import write_increments_csv
-
-    out = io.StringIO()
-    write_increments_csv(_realization(np.empty((2, 0))), out)
-    assert out.getvalue() == "t_left,t_right\n0.0,0.5\n0.5,1.0\n"

@@ -62,15 +62,6 @@ class TestWindowSup:
         p = CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [4.0], [2.0]]), 1.0)
         assert p.window_sup(0.0, 0.6) == 4.0
 
-    def test_half_open_excludes_right_value(self):
-        p = CadlagPath(np.array([0.0, 1.0]), np.array([[2.0], [-5.0]]), 1.0)
-        assert p.window_sup(0.0, 1.0, include_right=False) == 2.0
-
-    def test_half_open_empty_window_rejected(self):
-        p = CadlagPath(np.array([0.0, 1.0]), np.array([[2.0], [-5.0]]), 1.0)
-        with pytest.raises(ValueError):
-            p.window_sup(0.5, 0.5, include_right=False)
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             two_step().window_sup(1.0, 0.5)

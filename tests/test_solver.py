@@ -1,6 +1,6 @@
 """Euler scheme against closed-form oracles: delay ODE by method of steps,
 geometric diffusion by its exponential solution, plus the structural
-contracts (grid anchor map, frozen histories, adaptedness, remainder)."""
+contracts (grid anchor map, frozen histories, adaptedness)."""
 
 import math
 
@@ -16,7 +16,6 @@ from sdelab.models import (
     gbm_exact_terminal,
     geometric_jump,
     geometric_jump_exact_terminal,
-    superlinear_bad,
 )
 from sdelab.paths import constant_path
 
@@ -197,17 +196,7 @@ class TestEulerSolve:
             for probe in (-0.5, anchor / 2, anchor, (anchor + 1.0) / 2, 1.0):
                 assert h.value_at(probe)[0] == frozen.value_at(probe)[0]
 
-    def test_explosion_guard(self):
-        model = superlinear_bad()
-        model = s.CoefficientModel(
-            dim=1, delay=1.0, drift=model.drift, jump=model.jump,
-            initial=constant_path(3.0, -1.0, 0.0),
-        )
-        with pytest.raises(ExplosionError):
-            s.euler_solve(model, NO_NOISE, 16, 2.0, (0, 0), explosion_bound=50.0)
-
     def test_non_finite_state_raises(self):
-        # NaN slips past the guard radius (sqrt(nan) > guard is False).
         def nan_drift(t, h):
             return np.array([np.nan]) if t >= 0.5 else np.zeros(1)
 
@@ -216,7 +205,7 @@ class TestEulerSolve:
             initial=constant_path(0.0, -1.0, 0.0),
         )
         with pytest.raises(ExplosionError) as err:
-            s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), explosion_bound=1e6, replication=3)
+            s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), replication=3)
         assert "not finite" in str(err.value)
         assert err.value.t == 0.75 and err.value.replication == 3
 
@@ -238,44 +227,6 @@ class TestEulerSolve:
         real = s.sample_noise(ONE_WIENER, s.euler_grid(4, 1.0), (0, 0))
         with pytest.raises(ValueError):
             s.euler_solve(gbm(), ONE_WIENER, 8, 1.0, realization=real)
-
-
-class TestRemainder:
-    def test_zero_model_zero_remainder(self):
-        model = s.CoefficientModel(
-            dim=1, delay=1.0,
-            drift=lambda t, h: np.zeros(1),
-            jump=lambda t, h, m: np.zeros(1),
-            initial=constant_path(1.0, -1.0, 0.0),
-        )
-        r = s.remainder(model, ONE_WIENER, 4, 1.0, (0, 0))
-        assert r.window_sup(-1.0, 1.0) == 0.0
-
-    def test_zero_at_grid_anchors(self):
-        r = s.remainder(delay_ode(), NO_NOISE, 4, 2.0, (0, 0))
-        for k in range(1, 9):
-            assert r.value_at(k / 4)[0] == 0.0
-
-    def test_nonzero_inside_cells_and_history(self):
-        r = s.remainder(delay_ode(), NO_NOISE, 4, 1.5, (0, 0))
-        assert r.window_sup(0.5, 0.74) > 0.0
-        assert r.window_sup(-1.0, 0.0) == 0.0
-
-    def test_cell_sup_shrinks_with_n(self):
-        # P(sup_cell |p^(n)| > eps) falls as the grid refines.
-        spec = ONE_WIENER
-        model = gbm(sigma=0.4)
-        eps, reps = 0.25, 200
-        rates = []
-        for n in (16, 64, 256):
-            hits = 0
-            for r in range(reps):
-                p = s.remainder(model, spec, n, 1.0, (1717, r), refine=4)
-                sup = max(p.window_sup(k / n, (k + 1) / n) for k in range(n))
-                hits += sup > eps
-            rates.append(hits / reps)
-        assert rates[0] >= rates[1] >= rates[2]
-        assert rates[2] < rates[0] or rates[0] == 0
 
 
 class TestResolutionGap:

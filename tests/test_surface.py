@@ -1,0 +1,35 @@
+"""The shipped configs parse, and every exported name resolves."""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import sdelab
+from sdelab import parse_config
+from sdelab.errors import ConfigError
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+def test_every_shipped_config_parses():
+    assert len(CONFIGS) == 8, [p.name for p in CONFIGS]
+    for path in CONFIGS:
+        try:
+            parse_config(path.read_text())
+        except ConfigError as exc:
+            pytest.fail(f"{path.name}: {exc}")
+
+
+def test_every_exported_name_resolves():
+    modules = [sdelab] + [
+        importlib.import_module(f"sdelab.{info.name}") for info in pkgutil.iter_modules(sdelab.__path__)
+    ]
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert stale == []
