@@ -77,13 +77,15 @@ def _check(*stages, convert=None):
     return check
 
 
-def _integer(minimum):
-    return _check(("be an integer", _is_int), (f"be >= {minimum}", lambda v: v >= minimum))
-
-
 _NUMBER = ("be a number", _is_number)
 # Last, so that a value rejected by an earlier stage keeps that stage's message.
 _FINITE = ("be finite and fit a float", _is_finite)
+
+
+def _integer(minimum):
+    return _check(("be an integer", _is_int), (f"be >= {minimum}", lambda v: v >= minimum), _FINITE)
+
+
 _number = _check(_NUMBER, _FINITE, convert=float)
 _positive = _check(_NUMBER, ("be positive", lambda v: v > 0), _FINITE, convert=float)
 # Exponents of the moment bounds live strictly inside (0, 1).
@@ -149,6 +151,8 @@ def _noise(key, m, parsed):
     wiener = m.get("wiener", 1)
     if not _is_int(wiener) or wiener < 0:
         problems.append(f"noise 'wiener' must be an integer >= 0, got {wiener!r}")
+    elif not _is_finite(wiener):
+        problems.append(f"noise 'wiener' must {_FINITE[0]}, got {wiener!r}")
     rate = m.get("jump_rate", 0.0)
     if not _is_number(rate) or rate < 0:
         problems.append(f"noise 'jump_rate' must be a number >= 0, got {rate!r}")
@@ -161,6 +165,8 @@ def _noise(key, m, parsed):
     nodes = m.get("quadrature_nodes", 64)
     if not _is_int(nodes) or nodes < 1:
         problems.append(f"noise 'quadrature_nodes' must be an integer >= 1, got {nodes!r}")
+    elif not _is_finite(nodes):
+        problems.append(f"noise 'quadrature_nodes' must {_FINITE[0]}, got {nodes!r}")
     if problems:
         raise ConfigError(problems)
     return m
@@ -169,6 +175,8 @@ def _noise(key, m, parsed):
 def _resolutions(key, res, parsed):
     if not isinstance(res, list) or not res or not all(_is_int(v) and v >= 1 for v in res):
         raise ConfigError([f"'{key}' must be a non-empty list of integers >= 1, got {res!r}"])
+    if not all(map(_is_finite, res)):
+        raise ConfigError([f"'{key}' must {_FINITE[0]}, got {res!r}"])
     if any(max(res) % v for v in res):
         raise ConfigError(["every resolution must divide the largest one"])
     return sorted(res)

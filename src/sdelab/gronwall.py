@@ -54,6 +54,9 @@ _ASSUMPTION_TOL = 1e-9
 # Replications per chunk of the vectorised generators (_brownian_increments).
 _CHUNK = 4096
 
+# Upper bound on the bytes of one block of increments a chunk is drawn in.
+_BLOCK_BYTES = 1 << 20
+
 
 def finite_or_none(x: float) -> Optional[float]:
     """x, or None (written as JSON null) where x is infinite or NaN."""
@@ -364,14 +367,22 @@ def lenglart_moment(
 
 
 def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
-    """Yield (take, steps) arrays of N(0, dt) increments, _CHUNK replications at a time.
+    """Yield (rows, steps) blocks of N(0, dt) increments, in replication order.
 
-    Chunk k draws from the stream (seed, k), so the chunk size keys the
-    Philox streams: changing it changes every result.
+    Chunk k of _CHUNK replications draws from the stream (seed, k), so the
+    chunk size keys the Philox streams: changing it changes every result.
+    Each chunk is drawn in blocks of at most _BLOCK_BYTES that continue the
+    same stream, so the block size only bounds memory; the values are those
+    of one draw per chunk.
     """
+    rows = max(1, _BLOCK_BYTES // (8 * steps))
     for k, done in enumerate(range(0, replications, _CHUNK)):
+        rng = stream(seed, k)
         take = min(_CHUNK, replications - done)
-        yield stream(seed, k).standard_normal((take, steps)) * math.sqrt(dt)
+        for start in range(0, take, rows):
+            block = rng.standard_normal((min(rows, take - start), steps))
+            block *= math.sqrt(dt)
+            yield block
 
 
 def brownian_square_pairs(replications: int, grid_n: int, seed: int):
@@ -379,17 +390,22 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
 
     E[B(tau)^2] = E[tau] for bounded stopping times, so G dominates X in the
     stopped-expectation sense; G is deterministic, hence predictable.  Returns
-    (x_paths, g_paths) ready for the Lenglart estimators: X is generated in
-    vectorised chunks to keep memory flat at large counts, G is the one
-    shared deterministic path, repeated.
+    (x_paths, g_paths) ready for the Lenglart estimators: X is generated one
+    block of increments at a time, so a consumer that drops each path before
+    taking the next holds at most one block (about _BLOCK_BYTES) of X,
+    whatever `replications` is; G is the one shared deterministic path,
+    repeated.
     """
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)
 
     def x_paths():
         for incr in _brownian_increments(replications, grid_n, 1.0 / grid_n, seed):
-            b = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=1)], axis=1)
-            for row in b * b:
+            b = np.empty((len(incr), grid_n + 1))
+            b[:, 0] = 0.0
+            np.cumsum(incr, axis=1, out=b[:, 1:])
+            b *= b
+            for row in b:
                 yield CadlagPath._trusted(ts, row[:, None], 1.0)
 
     return x_paths(), (g_path for _ in range(replications))

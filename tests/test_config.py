@@ -210,6 +210,33 @@ def test_numbers_must_be_finite_floats(text, problem, tmp_path):
     assert validate_exit(text, tmp_path) == 1
 
 
+LENGLART_MOMENT = "kind: lenglart\nmode: moment\np: 0.5\nreplications: 10\nseed: 1\n"
+CONVERGENCE = "kind: convergence\nmodel: gbm\nT: 1.0\nreplications: 10\nseed: 1\n"
+BIG_INTEGERS = {
+    "n": (MINIMAL_SIMULATE.replace("n: 64", f"n: {BIG}"), f"'n' {FIT} {BIG}"),
+    "grid_n": (LENGLART_MOMENT + f"grid_n: {BIG}\n", f"'grid_n' {FIT} {BIG}"),
+    "replications": (
+        MINIMAL_SIMULATE.replace("replications: 100", f"replications: {BIG}"),
+        f"'replications' {FIT} {BIG}",
+    ),
+    "samples": (CHECK_CONDITIONS.replace("samples: 2", f"samples: {BIG}"), f"'samples' {FIT} {BIG}"),
+    "seed": (MINIMAL_SIMULATE.replace("seed: 42", f"seed: {BIG}"), f"'seed' {FIT} {BIG}"),
+    "resolutions": (CONVERGENCE + f"resolutions: [8, {BIG}]\n", f"'resolutions' {FIT} [8, {BIG}]"),
+    "wiener": (MINIMAL_SIMULATE + f"noise: {{wiener: {BIG}}}\n", f"noise 'wiener' {FIT} {BIG}"),
+    "quadrature_nodes": (
+        CHECK_CONDITIONS + f"noise: {{jump_rate: 2.0, quadrature_nodes: {BIG}}}\n",
+        f"noise 'quadrature_nodes' {FIT} {BIG}",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, problem", BIG_INTEGERS.values(), ids=BIG_INTEGERS.keys())
+def test_integers_must_fit_a_float(text, problem, tmp_path):
+    # Each passed `sde validate` and then failed at run time, some with a traceback.
+    assert problems_of(text) == [problem]
+    assert validate_exit(text, tmp_path) == 1
+
+
 def test_non_finite_values_rejected_before_keep_their_message():
     for value, problem in [(".nan", "must be positive, got nan"), ("-.inf", "must be positive, got -inf")]:
         assert problems_of(MINIMAL_SIMULATE.replace("T: 1.0", f"T: {value}")) == [f"'T' {problem}"]

@@ -2,12 +2,15 @@
 counterexample, and the Lenglart estimators against Brownian closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sdelab as s
 from sdelab.errors import EnsembleError
+from sdelab.gronwall import _CHUNK
+from sdelab.streams import stream
 
 
 def constant_pairs(value: float, replications: int):
@@ -233,6 +236,58 @@ class TestLenglartMoment:
             c, d, p = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0.05, 0.95)
             assert s.lenglart_tail(xs, gs, c=c, d=d).holds
             assert s.lenglart_moment(xs, gs, p=p).holds
+
+
+def reference_increments(replications: int, steps: int, seed: int) -> np.ndarray:
+    """N(0, 1/steps) increments drawn one chunk at a time: chunk k from stream (seed, k)."""
+    chunks = []
+    for k, done in enumerate(range(0, replications, _CHUNK)):
+        take = min(_CHUNK, replications - done)
+        chunks.append(stream(seed, k).standard_normal((take, steps)) * math.sqrt(1.0 / steps))
+    return np.concatenate(chunks)
+
+
+class TestGenerators:
+    # (_CHUNK + 3, 8) crosses a chunk boundary; (130, 2048) is one chunk drawn in
+    # blocks of 64 rows, 64 and 2.
+    @pytest.mark.parametrize("replications, grid_n", [(_CHUNK + 3, 8), (130, 2048)])
+    def test_brownian_square_rows_match_one_draw_per_chunk(self, replications, grid_n):
+        b = np.cumsum(reference_increments(replications, grid_n, seed=21), axis=1)
+        want = np.concatenate([np.zeros((replications, 1)), b], axis=1)
+        want = want * want
+        xs, gs = s.brownian_square_pairs(replications, grid_n, seed=21)
+        rows = [x.values[:, 0] for x in xs]
+        assert len(rows) == replications == len(list(gs))
+        for got, ref in zip(rows, want):
+            assert np.array_equal(got, ref)
+
+    def test_gbm_squared_rows_match_one_draw_per_chunk(self):
+        mu, sigma, x0, n = 0.05, 0.2, 1.0, 4
+        dt = 1.0 / n
+        K = 2.0 * mu + sigma * sigma + mu * mu * dt
+        dW = reference_increments(_CHUNK + 3, n, seed=22)
+        st = np.empty((len(dW), n + 1))
+        st[:, 0] = x0
+        for k in range(n):
+            st[:, k + 1] = st[:, k] * (1.0 + mu * dt + sigma * dW[:, k])
+        y = st * st
+        drift = np.concatenate([np.zeros((len(y), 1)), np.cumsum(K * y[:, :-1] * dt, axis=1)], axis=1)
+        m = y - y[:, :1] - drift
+        ens = s.gbm_squared_ensemble(_CHUNK + 3, 0.5, 22, n=n)
+        assert len(ens.x_paths) == len(ens.m_paths) == _CHUNK + 3
+        for r in range(_CHUNK + 3):
+            assert np.array_equal(ens.x_paths[r].values[:, 0], y[r])
+            assert np.array_equal(ens.m_paths[r].values[:, 0], m[r])
+
+    def test_lenglart_moment_peak_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            rep = s.lenglart_moment(*s.brownian_square_pairs(600, 2048, seed=3), p=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert rep.lhs == 1.2218617906199845
 
 
 class TestCounterexampleStats:
