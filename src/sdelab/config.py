@@ -21,7 +21,7 @@ import yaml
 
 from .conditions import CONDITIONS
 from .errors import ConfigError
-from .models import MODEL_NAMES, model_param_names
+from .models import MODEL_NAMES, ORACLE_MODELS, model_param_names, noise_problems
 
 __all__ = ["ExperimentConfig", "parse_config", "KINDS"]
 
@@ -167,6 +167,9 @@ def _noise(key, m, parsed):
         problems.append(f"noise 'quadrature_nodes' must be an integer >= 1, got {nodes!r}")
     elif not _is_finite(nodes):
         problems.append(f"noise 'quadrature_nodes' must {_FINITE[0]}, got {nodes!r}")
+    if not problems and {"model", "model_params"} <= parsed.keys():
+        # the model's parameters must agree with the noise it runs on
+        problems = noise_problems(parsed["model"], parsed["model_params"], m)
     if problems:
         raise ConfigError(problems)
     return m
@@ -182,12 +185,12 @@ def _resolutions(key, res, parsed):
     return sorted(res)
 
 
-def _gbm_oracle(parsed):
-    """Convergence compares against gbm's closed-form endpoint, which is driven by
-    one Brownian path, so no other model and no other Wiener count will do."""
+def _oracle(parsed):
+    """Convergence compares against a closed-form endpoint, and every one is
+    driven by one Brownian path, so no other Wiener count will do."""
     problems = []
-    if parsed.get("model") not in (None, "gbm"):
-        problems.append("convergence requires the 'gbm' model (closed-form endpoint oracle)")
+    if parsed.get("model") not in (None, *ORACLE_MODELS):
+        problems.append(f"convergence requires a model with a closed-form endpoint: {', '.join(ORACLE_MODELS)}")
     wiener = parsed.get("noise", {}).get("wiener", 1)
     if wiener != 1:
         problems.append(f"noise 'wiener' must be 1 for convergence, got {wiener!r}")
@@ -225,7 +228,7 @@ _SCHEMAS = {
         _Row("replications", _integer(0), required=True),
     ),
     "convergence": _COMMON + _MODEL + (
-        _gbm_oracle,
+        _oracle,
         _Row("resolutions", _resolutions, required=True),
         _Row("T", _positive, required=True),
         # Two replications at least: the standard errors use ddof=1.

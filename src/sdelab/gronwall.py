@@ -16,9 +16,8 @@ expectations almost surely, so anything beyond CI noise is a hard failure.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -138,8 +137,6 @@ class GronwallEnsemble:
     horizon: float
     p: float
     h_predictable: bool = False
-    seed: Optional[int] = None
-    label: str = ""
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -205,8 +202,6 @@ class GronwallEnsemble:
             self.horizon,
             self.p,
             h_predictable=self.h_predictable,
-            seed=self.seed,
-            label=f"{self.label}*{factor:g}",
         )
 
 
@@ -219,28 +214,10 @@ class VerificationReport:
     rhs: float
     verdict: str           # "holds" | "violated"
     replications: int
-    seed: Optional[int] = None
-    label: str = ""
 
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "p": finite_or_none(self.p),
-                "lhs": finite_or_none(self.lhs),
-                "lhs_ci": finite_or_none(self.lhs_ci),
-                "rhs": finite_or_none(self.rhs),
-                "verdict": self.verdict,
-                "replications": self.replications,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
 
 
 def _negative_marked_jump(m: CadlagPath) -> bool:
@@ -284,9 +261,7 @@ def verify_gronwall(
     h_stat = float((h_T ** p).mean()) if variant in ("a", "b") else float(h_T.mean())
     rhs = gronwall_bound(variant, p, ensemble.clock(T), h_stat)
     verdict = "holds" if lhs_up <= rhs else "violated"
-    return VerificationReport(
-        variant, p, lhs, lhs_up, rhs, verdict, n, ensemble.seed, ensemble.label
-    )
+    return VerificationReport(variant, p, lhs, lhs_up, rhs, verdict, n)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +277,6 @@ class LenglartReport:
     rhs_stderr: float
     verdict: str
     replications: int
-    parameters: dict = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
@@ -342,7 +316,7 @@ def lenglart_tail(
     l_m, l_se = _mean_stderr(lh)
     r_m, r_se = _mean_stderr(rh)
     verdict = "holds" if l_m - Z_ONE_SIDED * l_se <= r_m + Z_ONE_SIDED * r_se else "violated"
-    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh), {"c": c, "d": d})
+    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh))
 
 
 def lenglart_moment(
@@ -358,7 +332,7 @@ def lenglart_moment(
     g_m, g_se = _mean_stderr(rh)
     r_m, r_se = cp * g_m, cp * g_se
     verdict = "holds" if l_m + Z_ONE_SIDED * l_se <= r_m else "violated"
-    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh), {"p": p})
+    return LenglartReport(l_m, l_se, r_m, r_se, verdict, len(lh))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +472,6 @@ def counterexample_ensemble(
         horizon=1.0,
         p=p,
         h_predictable=False,
-        seed=seed,
-        label=f"two-point(q={q:g},alpha={alpha:g})",
     )
 
 
@@ -552,6 +524,4 @@ def gbm_squared_ensemble(
         horizon=1.0,
         p=p,
         h_predictable=True,
-        seed=seed,
-        label=f"gbm-squared(mu={mu:g},sigma={sigma:g},n={n})",
     )

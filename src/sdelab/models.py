@@ -29,7 +29,10 @@ __all__ = [
     "build_model",
     "build_noise",
     "model_param_names",
+    "noise_problems",
+    "exact_terminal",
     "MODEL_NAMES",
+    "ORACLE_MODELS",
 ]
 
 
@@ -59,13 +62,9 @@ def gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0, delay: float = 1.
 
 
 def gbm_exact_terminal(mu: float, sigma: float, x0: float, T: float):
-    """Closed-form GBM endpoint driven by the same Brownian path as the solver."""
-
-    def oracle(real: NoiseRealization) -> np.ndarray:
-        w_T = float(real.wiener_increments[:, 0].sum())
-        return np.array([x0 * math.exp((mu - 0.5 * sigma * sigma) * T + sigma * w_T)])
-
-    return oracle
+    """Closed-form GBM endpoint driven by the same Brownian path as the solver:
+    the geometric jump endpoint without jumps, bit for bit."""
+    return geometric_jump_exact_terminal(mu, sigma, 0.0, 0.0, 0.0, x0, T)
 
 
 def delay_ode() -> CoefficientModel:
@@ -219,21 +218,18 @@ def geometric_jump(
 
 
 def geometric_jump_exact_terminal(
-    mu: float, sigma: float, gamma: float, mark_mean: float, rate, x0: float, T: float
+    mu: float, sigma: float, gamma: float, mark_mean: float, jump_rate: float, x0: float, T: float
 ):
     """Stochastic-exponential endpoint for the geometric jump diffusion.
 
-    X_T = x0 exp((mu - gamma lambda-bar-integral mean - sigma^2/2) T + sigma W_T)
+    X_T = x0 exp((mu - gamma lambda mark_mean - sigma^2/2) T + sigma W_T)
     prod_e (1 + gamma xi_e), with the compensator drift integrated exactly for
-    a constant rate."""
-    lam = rate if not callable(rate) else None
-    if lam is None:
-        raise ValueError("closed form implemented for constant rates")
+    the constant rate lambda = jump_rate."""
 
     def oracle(real: NoiseRealization) -> np.ndarray:
         w_T = float(real.wiener_increments[:, 0].sum())
         factor = float(np.prod(1.0 + gamma * real.event_marks[:, 0])) if real.event_times.size else 1.0
-        expo = (mu - gamma * lam * mark_mean - 0.5 * sigma * sigma) * T + sigma * w_T
+        expo = (mu - gamma * jump_rate * mark_mean - 0.5 * sigma * sigma) * T + sigma * w_T
         return np.array([x0 * math.exp(expo) * factor])
 
     return oracle
@@ -249,6 +245,14 @@ _BUILDERS = {
 }
 
 MODEL_NAMES = tuple(_BUILDERS)
+
+# Closed-form endpoints, keyed like _BUILDERS.  Each reads Wiener column 0 only.
+_ORACLES = {
+    "gbm": gbm_exact_terminal,
+    "geometric-jump": geometric_jump_exact_terminal,
+}
+
+ORACLE_MODELS = tuple(_ORACLES)
 
 
 def model_param_names(name: str) -> set:
@@ -284,3 +288,35 @@ def build_noise(
             quadrature_nodes=quadrature_nodes,
         )
     return MartingaleMeasureSpec(wiener_count=wiener)
+
+
+def _settings(name: str, model_params: dict, noise: dict) -> dict:
+    """Model parameters and noise keys of a declarative config, defaults filled in."""
+    defaults = inspect.signature(_BUILDERS[name]).parameters | inspect.signature(build_noise).parameters
+    return {k: p.default for k, p in defaults.items()} | model_params | noise
+
+
+def noise_problems(name: str, model_params: dict, noise: dict) -> list:
+    """What model `name` with these parameters contradicts in the noise config.
+
+    A factory's mark_mean feeds its compensator, so with jumps on it must be
+    the mean of the first mark coordinate under the uniform mark law; any
+    other value biases every compensated jump.
+    """
+    s = _settings(name, model_params, noise)
+    low, high = (v[0] if isinstance(v, list) else v for v in (s["mark_low"], s["mark_high"]))
+    mean = (low + high) / 2
+    if "mark_mean" not in s or s["jump_rate"] <= 0 or math.isclose(s["mark_mean"], mean, rel_tol=1e-12):
+        return []
+    return [
+        f"model parameter 'mark_mean' must equal the mean of the first mark coordinate, "
+        f"(mark_low + mark_high) / 2 = {mean!r}, got {s['mark_mean']!r}"
+    ]
+
+
+def exact_terminal(name: str, model_params: dict, noise: dict, T: float):
+    """The closed-form endpoint at T of model `name` (one of ORACLE_MODELS), its
+    arguments read from the config's model parameters and noise keys."""
+    oracle = _ORACLES[name]
+    s = _settings(name, model_params, noise) | {"T": T}
+    return oracle(**{k: s[k] for k in inspect.signature(oracle).parameters})

@@ -51,6 +51,19 @@ CASES = {
         0,
         "50297e8253b83f4c349e1be63a9fcc41a61d33dcf7d3c0c367d0fd16ca6f8636",
     ),
+    "convergence-jump": (
+        """
+        kind: convergence
+        model: geometric-jump
+        noise: {wiener: 1, jump_rate: 2.0, quadrature_nodes: 8}
+        resolutions: [4, 8, 16]
+        T: 1.0
+        replications: 30
+        seed: 19
+        """,
+        0,
+        "b748e57f231b0d25a69cfc8d7d590048fd4dc1653de7560bbffd78e34453eba6",
+    ),
     "gronwall-gbm-squared": (
         """
         kind: verify-gronwall

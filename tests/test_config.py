@@ -130,6 +130,40 @@ def test_convergence_needs_one_wiener_component(wiener, tmp_path):
     assert validate_exit(text, tmp_path) == 1
 
 
+def jump_simulate(model, params, noise):
+    return (
+        f"kind: simulate\nmodel: {model}\nmodel_params: {params}\nnoise: {noise}\n"
+        "n: 16\nT: 1.0\nreplications: 4000\nseed: 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "model, params, noise, mean, got",
+    [
+        ("geometric-jump", "{}", "{wiener: 1, jump_rate: 2.0, mark_high: 2.0}", 1.0, 0.5),
+        ("additive-jumps", "{mark_mean: 0.25}", "{wiener: 0, jump_rate: 3.0}", 0.5, 0.25),
+        ("geometric-jump", "{mark_mean: 0.5}", "{jump_rate: 1.0, mark_low: [1, 0], mark_high: [2, 1]}", 1.5, 0.5),
+    ],
+)
+def test_mark_mean_must_be_the_mark_mean(model, params, noise, mean, got, tmp_path):
+    # The compensator uses mark_mean: with marks uniform on [0, 2] and the
+    # default 0.5, the first case's terminal mean sat 30 standard errors
+    # above the martingale mean.
+    text = jump_simulate(model, params, noise)
+    assert problems_of(text) == [
+        "model parameter 'mark_mean' must equal the mean of the first mark coordinate, "
+        f"(mark_low + mark_high) / 2 = {mean!r}, got {got!r}"
+    ]
+    assert validate_exit(text, tmp_path) == 1
+
+
+@pytest.mark.parametrize(
+    "noise", ["{jump_rate: 0.0}", "{jump_rate: 1.0, mark_low: [0.5, 0.0], mark_high: [1.5, 9.0]}"]
+)
+def test_mark_mean_checked_against_the_first_coordinate_with_jumps_only(noise):
+    parse_config(jump_simulate("geometric-jump", "{mark_mean: 1.0}", noise))
+
+
 def test_resolutions_must_nest():
     probs = problems_of(
         "kind: convergence\nmodel: gbm\nresolutions: [8, 12]\nT: 1.0\n"
@@ -351,7 +385,7 @@ replicatons: 5
             "unknown key 'replicatons' (did you mean 'replications'?)",
             "model parameter 'sigma' must be a number, got True",
             "noise 'jump_rate' must be a number >= 0, got 'fast'",
-            "convergence requires the 'gbm' model (closed-form endpoint oracle)",
+            "convergence requires a model with a closed-form endpoint: gbm, geometric-jump",
             "every resolution must divide the largest one",
             "'T' must be positive, got 0",
             "'replications' must be >= 2, got 1",

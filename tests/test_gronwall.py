@@ -149,22 +149,6 @@ class TestVerify:
                 [neg], [zero], [flat], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5
             )
 
-    def test_report_serialization(self):
-        import json
-
-        rep = s.verify_gronwall(constant_ensemble(2.0, 0.5), "c")
-        data = json.loads(rep.to_json())
-        assert set(data) == {"variant", "p", "lhs", "lhs_ci", "rhs", "verdict",
-                             "replications", "seed"}
-        assert data["verdict"] == "holds"
-
-    def test_report_serialization_writes_non_finite_as_null(self):
-        import json
-
-        rep = s.VerificationReport("a", 0.5, math.inf, math.nan, 1.0, "violated", 2)
-        data = json.loads(rep.to_json())
-        assert (data["lhs"], data["lhs_ci"], data["rhs"]) == (None, None, 1.0)
-
 
 class TestLenglartTail:
     def test_deterministic_pair(self):
