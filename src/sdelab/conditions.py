@@ -13,7 +13,6 @@ replayed bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gronwall import finite_or_none
 from .noise import MartingaleMeasureSpec
 from .paths import CadlagPath, sup_distance, write_path_csv
 from .solver import CoefficientModel
@@ -43,6 +41,11 @@ _C3_SCALES = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
 
 # Violations recorded per report; each keeps its witness paths in memory.
 _MAX_WITNESSES = 16
+
+
+def finite_or_none(x: float) -> Optional[float]:
+    """x, or None (written as JSON null) where x is infinite or NaN."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -67,22 +70,19 @@ class ConditionReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "condition": self.condition,
-                "samples": self.samples,
-                "violations": [
-                    {"index": v.index, "t": v.t, "lhs": finite_or_none(v.lhs),
-                     "rhs": finite_or_none(v.rhs), "margin": finite_or_none(v.margin)}
-                    for v in self.violations
-                ],
-                "rate_functions_used": self.rate_functions_used,
-                "passed": self.passed,
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
+    def to_dict(self) -> dict:
+        """The report's JSON document: witness paths left out, non-finite values as None."""
+        return {
+            "condition": self.condition,
+            "samples": self.samples,
+            "violations": [
+                {"index": v.index, "t": v.t, "lhs": finite_or_none(v.lhs),
+                 "rhs": finite_or_none(v.rhs), "margin": finite_or_none(v.margin)}
+                for v in self.violations
+            ],
+            "rate_functions_used": self.rate_functions_used,
+            "passed": self.passed,
+        }
 
     def write_witnesses(self, directory):
         directory = Path(directory)
@@ -143,32 +143,9 @@ def _squared_mark_integral(model, spec, t, x, y=None) -> float:
     return total
 
 
-def _require_rate(model, attr, condition):
-    fn = getattr(model, attr)
-    if fn is None:
-        raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
-    return fn
-
-
 # Rate envelope of each rate condition: the model attribute, and whether it
 # takes the radius R as well as t.
 _RATES = {"C1": ("lipschitz_rate", True), "C2": ("growth_rate", False), "C4": ("bound_rate", True)}
-
-
-def _condition_terms(model, spec, condition, t, x, y) -> tuple[float, float]:
-    """(lhs, sup-norm factor) of C1, C2 or C4 at a witness; the rhs is rate * factor."""
-    if condition == "C1":
-        dx = x.left_limit(t) - y.left_limit(t)
-        df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
-        lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
-        return lhs, sup_distance(x, y, x.start, t) ** 2
-    if condition == "C2":
-        xl = x.left_limit(t)
-        f = np.atleast_1d(model.drift(t, x))
-        lhs = 2.0 * float(xl @ f) + _squared_mark_integral(model, spec, t, x)
-        return lhs, 1.0 + x.window_sup(x.start, t) ** 2
-    f = np.atleast_1d(model.drift(t, x))
-    return float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x), 1.0
 
 
 def evaluate_condition(
@@ -180,15 +157,29 @@ def evaluate_condition(
     y: Optional[CadlagPath] = None,
     radius: float = 1.0,
 ) -> tuple[float, float]:
-    """One (lhs, rhs) evaluation of a condition at a witness; deterministic,
-    so recorded violations replay bit-identically."""
+    """One (lhs, rhs) evaluation of C1, C2 or C4 at a witness, rhs = rate *
+    sup-norm factor; deterministic, so recorded violations replay bit-identically."""
     if condition not in _RATES:
         raise ValueError(f"evaluate_condition does not handle {condition!r}")
     if condition == "C1" and y is None:
         raise ValueError("C1 needs a path pair")
     attr, takes_radius = _RATES[condition]
-    rate = _require_rate(model, attr, condition)
-    lhs, factor = _condition_terms(model, spec, condition, t, x, y)
+    rate = getattr(model, attr)
+    if rate is None:
+        raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
+    if condition == "C1":
+        dx = x.left_limit(t) - y.left_limit(t)
+        df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
+        lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
+        factor = sup_distance(x, y, x.start, t) ** 2
+    elif condition == "C2":
+        xl = x.left_limit(t)
+        f = np.atleast_1d(model.drift(t, x))
+        lhs = 2.0 * float(xl @ f) + _squared_mark_integral(model, spec, t, x)
+        factor = 1.0 + x.window_sup(x.start, t) ** 2
+    else:
+        f = np.atleast_1d(model.drift(t, x))
+        lhs, factor = float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x), 1.0
     return lhs, float(rate(t, radius) if takes_radius else rate(t)) * factor
 
 

@@ -22,6 +22,7 @@ import yaml
 from .conditions import CONDITIONS
 from .errors import ConfigError
 from .models import MODEL_NAMES, ORACLE_MODELS, model_param_names, noise_problems
+from .solver import euler_steps
 
 __all__ = ["ExperimentConfig", "parse_config", "KINDS"]
 
@@ -180,6 +181,9 @@ def _resolutions(key, res, parsed):
         raise ConfigError([f"'{key}' must be a non-empty list of integers >= 1, got {res!r}"])
     if not all(map(_is_finite, res)):
         raise ConfigError([f"'{key}' must {_FINITE[0]}, got {res!r}"])
+    # A fitted order needs two points.
+    if len(set(res)) < 2:
+        raise ConfigError([f"'{key}' must hold at least two distinct values, got {res!r}"])
     if any(max(res) % v for v in res):
         raise ConfigError(["every resolution must divide the largest one"])
     return sorted(res)
@@ -194,6 +198,19 @@ def _oracle(parsed):
     wiener = parsed.get("noise", {}).get("wiener", 1)
     if wiener != 1:
         problems.append(f"noise 'wiener' must be 1 for convergence, got {wiener!r}")
+    if problems:
+        raise ConfigError(problems)
+
+
+def _whole_cells(parsed):
+    """Every Euler grid 0, 1/n, ..., T must end exactly at T."""
+    ns = parsed.get("resolutions", [parsed["n"]] if "n" in parsed else [])
+    problems = []
+    for n in ns if "T" in parsed else ():
+        try:
+            euler_steps(n, parsed["T"])
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
 
@@ -225,12 +242,14 @@ _SCHEMAS = {
     "simulate": _COMMON + _MODEL + (
         _Row("n", _integer(1), required=True),
         _Row("T", _positive, required=True),
+        _whole_cells,
         _Row("replications", _integer(0), required=True),
     ),
     "convergence": _COMMON + _MODEL + (
         _oracle,
         _Row("resolutions", _resolutions, required=True),
         _Row("T", _positive, required=True),
+        _whole_cells,
         # Two replications at least: the standard errors use ddof=1.
         _Row("replications", _integer(2), required=True),
     ),

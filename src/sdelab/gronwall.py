@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,11 +55,6 @@ _CHUNK = 4096
 
 # Upper bound on the bytes of one block of increments a chunk is drawn in.
 _BLOCK_BYTES = 1 << 20
-
-
-def finite_or_none(x: float) -> Optional[float]:
-    """x, or None (written as JSON null) where x is infinite or NaN."""
-    return x if math.isfinite(x) else None
 
 
 def c_p(p: float) -> float:

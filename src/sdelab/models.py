@@ -8,6 +8,7 @@ condition checker is expected to catch.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 
@@ -37,28 +38,9 @@ __all__ = [
 
 
 def gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0, delay: float = 1.0) -> CoefficientModel:
-    """dX = mu X dt + sigma X dW.  No delay dependence; tau only sets the initial window."""
-
-    def drift(t, h):
-        return mu * h.value_at(t)
-
-    def jump(t, h, mark):
-        if isinstance(mark, (int, np.integer)):
-            return sigma * h.value_at(t)
-        return np.zeros(1)
-
-    lip = 2 * abs(mu) + sigma * sigma
-    return CoefficientModel(
-        dim=1,
-        delay=delay,
-        drift=drift,
-        jump=jump,
-        initial=constant_path(x0, -delay, 0.0),
-        lipschitz_rate=lambda t, R: lip,
-        growth_rate=lambda t: lip,
-        bound_rate=lambda t, R: abs(mu) * R + sigma * sigma * R * R,
-        name="gbm",
-    )
+    """dX = mu X dt + sigma X dW: the geometric jump diffusion with gamma = 0.
+    No delay dependence; tau only sets the initial window."""
+    return dataclasses.replace(geometric_jump(mu, sigma, gamma=0.0, x0=x0, delay=delay), name="gbm")
 
 
 def gbm_exact_terminal(mu: float, sigma: float, x0: float, T: float):
@@ -299,14 +281,21 @@ def _settings(name: str, model_params: dict, noise: dict) -> dict:
 def noise_problems(name: str, model_params: dict, noise: dict) -> list:
     """What model `name` with these parameters contradicts in the noise config.
 
-    A factory's mark_mean feeds its compensator, so with jumps on it must be
+    With jumps on, the mark bounds must make a rectangle uniform_marks can
+    sample.  A factory's mark_mean feeds its compensator, so it must then be
     the mean of the first mark coordinate under the uniform mark law; any
     other value biases every compensated jump.
     """
     s = _settings(name, model_params, noise)
+    if s["jump_rate"] <= 0:
+        return []
+    try:
+        uniform_marks(s["mark_low"], s["mark_high"])
+    except ValueError as exc:
+        return [f"noise 'mark_low' and 'mark_high': {exc}"]
     low, high = (v[0] if isinstance(v, list) else v for v in (s["mark_low"], s["mark_high"]))
     mean = (low + high) / 2
-    if "mark_mean" not in s or s["jump_rate"] <= 0 or math.isclose(s["mark_mean"], mean, rel_tol=1e-12):
+    if "mark_mean" not in s or math.isclose(s["mark_mean"], mean, rel_tol=1e-12):
         return []
     return [
         f"model parameter 'mark_mean' must equal the mean of the first mark coordinate, "

@@ -181,8 +181,6 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
         for j, t in enumerate(times):
             keep[j] = t > 0 and accept_u[j] * lam_bar < spec.rate(float(t))
         times = times[keep]
-        if spec.mark_sampler is None:
-            raise NoiseSpecError("events generated but no mark sampler given")
         marks = np.asarray(spec.mark_sampler(rng, times.size), dtype=float)
         if marks.ndim == 1:
             marks = marks[:, None]

@@ -163,7 +163,7 @@ def _run_check_conditions(cfg: ExperimentConfig, out: Path):
     for r in reports:
         if r.violations:
             r.write_witnesses(out / "witnesses")
-    results = {"conditions": [json.loads(r.to_json()) for r in reports]}
+    results = {"conditions": [r.to_dict() for r in reports]}
     return o, results, EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 

@@ -23,6 +23,7 @@ from .streams import stream
 __all__ = [
     "CoefficientModel",
     "kappa",
+    "euler_steps",
     "euler_grid",
     "euler_solve",
     "coarsen_noise",
@@ -83,12 +84,18 @@ def kappa(n: int, t: float) -> float:
     return k / n
 
 
-def euler_grid(n: int, T: float) -> np.ndarray:
-    """Grid 0, 1/n, ..., T.  Requires n*T to be (numerically) an integer."""
-    steps = round(n * T)
-    if steps < 1 or abs(steps - n * T) > 1e-9:
+def euler_steps(n: int, T: float) -> int:
+    """Cells of the grid 0, 1/n, ..., T.  Requires n*T to be (numerically) a whole number >= 1."""
+    cells = n * T
+    steps = round(cells) if math.isfinite(cells) else 0
+    if steps < 1 or abs(steps - cells) > 1e-9:
         raise ValueError(f"horizon T={T} is not a whole number of 1/{n} cells")
-    return np.arange(steps + 1) / n
+    return steps
+
+
+def euler_grid(n: int, T: float) -> np.ndarray:
+    """Grid 0, 1/n, ..., T."""
+    return np.arange(euler_steps(n, T) + 1) / n
 
 
 def _wrap_coefficient(fn, label, replication):
@@ -104,15 +111,6 @@ def _wrap_coefficient(fn, label, replication):
     return call
 
 
-def _boundary_indices(grid: np.ndarray, n: int, T: float) -> np.ndarray:
-    """Indices of the Euler cell boundaries k/n inside a (possibly finer) grid."""
-    boundaries = euler_grid(n, T)
-    idx = np.searchsorted(grid, boundaries)
-    if np.any(idx >= grid.size) or not np.array_equal(grid[idx], boundaries):
-        raise ValueError("realization grid does not contain every Euler cell boundary k/n")
-    return idx
-
-
 def euler_solve(
     model: CoefficientModel,
     spec: MartingaleMeasureSpec,
@@ -125,37 +123,40 @@ def euler_solve(
 ) -> CadlagPath:
     """Euler approximation on [-tau, T], equal to the initial segment on [-tau, 0].
 
-    The realization defaults to a fresh sample on the Euler grid; a finer
-    realization (every boundary k/n on its grid) is accepted so coupled
-    resolutions can consume shared noise.  Deterministic given the stream.
-    Raises ExplosionError if the state is not finite.
+    The realization defaults to a fresh sample on the Euler grid; a given
+    one must live on that same grid (coupled resolutions aggregate shared
+    noise with coarsen_noise first), so cell k of the solve is cell k of the
+    realization.  Deterministic given the stream.  Raises ExplosionError if
+    the state is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not T > 0:
         raise ValueError("horizon T must be positive")
+    grid = euler_grid(n, T)
     if realization is None:
         if stream_id is None:
             raise ValueError("need either a stream id or a pre-sampled realization")
-        realization = sample_noise(spec, euler_grid(n, T), stream_id)
-    bidx = _boundary_indices(realization.grid, n, T)
+        realization = sample_noise(spec, grid, stream_id)
+    elif not np.array_equal(realization.grid, grid):
+        raise ValueError(f"realization grid is not the Euler grid 0, 1/{n}, ..., {T}")
 
     f = _wrap_coefficient(model.drift, "drift", replication)
     g = _wrap_coefficient(model.jump, "jump", replication)
 
     # One append per cell and per event, fewer where an event lands on the grid.
-    appends = realization.grid.size - 1 + realization.event_times.size
-    builder = PathBuilder(model.initial, float(realization.grid[-1]), appends)
+    appends = grid.size - 1 + realization.event_times.size
+    builder = PathBuilder(model.initial, float(grid[-1]), appends)
     x = np.array(model.initial.value_at(0.0), dtype=float)
 
-    for k in range(bidx.size - 1):
-        t0 = float(realization.grid[bidx[k]])
+    for k in range(grid.size - 1):
+        t0 = float(grid[k])
         frozen = builder.freeze()
         g_frozen = lambda t, mark, _h=frozen: g(t, _h, mark)
         comp = None
         if model.compensator is not None:
             comp = lambda t, _h=frozen: model.compensator(t, _h)
-        entries = _cell_entries(g_frozen, spec, realization, bidx[k], bidx[k + 1], comp)
+        entries = _cell_entries(g_frozen, spec, realization, k, k + 1, comp)
         u = t0
         for t, delta, is_jump in entries:
             x = x + np.asarray(f(u, frozen), dtype=float) * (t - u)
@@ -265,6 +266,8 @@ def strong_convergence(
     same path, so errors are coupled and the fitted order is stable.
     """
     ns = sorted(int(v) for v in resolutions)
+    if len(set(ns)) < 2:
+        raise ValueError(f"need at least two distinct resolutions to fit an order, got {ns}")
     finest = ns[-1]
     if any(finest % v for v in ns):
         raise ValueError("every resolution must divide the finest one")

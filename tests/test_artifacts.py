@@ -39,6 +39,19 @@ CASES = {
         0,
         "1bf8914e2749532ed8e057432e83b9ff9ac71ed6f306ba0d2f274ca0934f1bcd",
     ),
+    "simulate-gbm-jumps": (
+        """
+        kind: simulate
+        model: gbm
+        noise: {wiener: 1, jump_rate: 2.0, quadrature_nodes: 8}
+        n: 32
+        T: 1.0
+        replications: 20
+        seed: 20
+        """,
+        0,
+        "0af9c4082aaa92d5c429747980eaa8253b80d60dc062943e5a72e90349a4b213",
+    ),
     "convergence": (
         """
         kind: convergence
@@ -141,6 +154,19 @@ CASES = {
         """,
         2,
         "8e6f9ad95dd186f406df024d0f0866ab585b0ab9ee9aaf929adaf507139c0949",
+    ),
+    "check-conditions-gbm-jumps": (
+        """
+        kind: check-conditions
+        model: gbm
+        noise: {wiener: 1, jump_rate: 2.0, quadrature_nodes: 8}
+        conditions: [C1, C2, C3, C4, C5]
+        radius: 2.0
+        samples: 40
+        seed: 21
+        """,
+        0,
+        "1da8260c17c8313ea8495022538e92d2a34b8628027af51272b55719754da276",
     ),
 }
 

@@ -114,7 +114,7 @@ def test_report_json_round_trip():
 
     rep = s.check_condition(superlinear_bad(), NO_NOISE, "C2", radius=10.0,
                             samples=500, seed=7)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert data["condition"] == "C2"
     assert data["passed"] is False
     assert data["violations"][0]["lhs"] > data["violations"][0]["rhs"]

@@ -172,6 +172,65 @@ def test_resolutions_must_nest():
     assert any("divide" in p for p in probs)
 
 
+@pytest.mark.parametrize("resolutions", ["[8]", "[8, 8]"])
+def test_convergence_needs_two_distinct_resolutions(resolutions, tmp_path):
+    # One resolution used to run and report the slope of a one-point fit.
+    text = (
+        f"kind: convergence\nmodel: gbm\nresolutions: {resolutions}\nT: 1.0\n"
+        "replications: 20\nseed: 1\n"
+    )
+    value = yaml.safe_load(f"v: {resolutions}")["v"]
+    assert problems_of(text) == [f"'resolutions' must hold at least two distinct values, got {value!r}"]
+    assert validate_exit(text, tmp_path) == 1
+
+
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        (
+            "kind: simulate\nmodel: gbm\nn: 3\nT: 0.5\nreplications: 2\nseed: 1\n",
+            ["horizon T=0.5 is not a whole number of 1/3 cells"],
+        ),
+        (
+            "kind: convergence\nmodel: gbm\nresolutions: [3, 6]\nT: 0.5\nreplications: 2\nseed: 1\n",
+            ["horizon T=0.5 is not a whole number of 1/3 cells"],
+        ),
+        (
+            "kind: convergence\nmodel: gbm\nresolutions: [1, 3, 6]\nT: 0.5\nreplications: 2\nseed: 1\n",
+            [
+                "horizon T=0.5 is not a whole number of 1/1 cells",
+                "horizon T=0.5 is not a whole number of 1/3 cells",
+            ],
+        ),
+    ],
+    ids=["simulate", "convergence", "convergence-two-bad"],
+)
+def test_horizon_must_be_whole_cells(text, problems, tmp_path):
+    # These passed validation and then failed the run.
+    assert problems_of(text) == problems
+    assert validate_exit(text, tmp_path) == 1
+
+
+def test_whole_cells_accepts_exact_grids():
+    cfg = parse_config("kind: convergence\nmodel: gbm\nresolutions: [2, 6]\nT: 0.5\nreplications: 2\nseed: 1\n")
+    assert cfg.options["resolutions"] == [2, 6]
+    assert parse_config("kind: simulate\nmodel: gbm\nn: 3\nT: 2.0\nreplications: 2\nseed: 1\n").options["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "noise", ["{jump_rate: 1.0, mark_low: 2.0, mark_high: 1.0}", "{jump_rate: 1.0, mark_low: [0, 0], mark_high: [1]}"]
+)
+def test_mark_bounds_must_make_a_rectangle(noise, tmp_path):
+    # Reversed or unequal bounds passed validation and failed the run in uniform_marks.
+    text = f"kind: simulate\nmodel: gbm\nnoise: {noise}\nn: 4\nT: 1.0\nreplications: 2\nseed: 1\n"
+    assert problems_of(text) == [
+        "noise 'mark_low' and 'mark_high': rectangle bounds must have equal shape with high >= low"
+    ]
+    assert validate_exit(text, tmp_path) == 1
+    # Without jumps no mark is drawn, so the bounds are never read.
+    parse_config(text.replace("jump_rate: 1.0", "jump_rate: 0.0"))
+
+
 def test_invalid_yaml():
     probs = problems_of("kind: [unclosed\n")
     assert "invalid YAML" in probs[0]

@@ -18,6 +18,7 @@ from sdelab.models import (
     geometric_jump_exact_terminal,
 )
 from sdelab.paths import constant_path
+from sdelab.solver import euler_steps
 
 NO_NOISE = s.MartingaleMeasureSpec(wiener_count=0)
 ONE_WIENER = s.MartingaleMeasureSpec(wiener_count=1)
@@ -229,6 +230,15 @@ class TestEulerSolve:
             s.euler_solve(gbm(), ONE_WIENER, 8, 1.0, realization=real)
 
 
+    def test_realization_on_a_finer_grid_rejected(self):
+        # Coupled resolutions coarsen the shared noise first: cell k of the
+        # solve is cell k of the realization.
+        real = s.sample_noise(ONE_WIENER, s.euler_grid(16, 1.0), (0, 0))
+        with pytest.raises(ValueError, match="not the Euler grid"):
+            s.euler_solve(gbm(), ONE_WIENER, 8, 1.0, realization=real)
+        coarse = s.coarsen_noise(real, 2)
+        assert s.euler_solve(gbm(), ONE_WIENER, 8, 1.0, realization=coarse).end == 1.0
+
 class TestResolutionGap:
     def test_identical_resolutions_zero(self):
         est = s.resolution_gap(gbm(), ONE_WIENER, 8, 8, 1.0, 0.1, 25, 3)
@@ -267,3 +277,17 @@ def test_coarsen_noise_sums_increments():
 def test_euler_grid_rejects_fractional_cells():
     with pytest.raises(ValueError):
         s.euler_grid(3, 0.5)
+
+
+@pytest.mark.parametrize("n, T", [(3, 0.5), (1, 0.4), (2, 1e308)])
+def test_euler_steps_rejects_fractional_or_overflowing_cells(n, T):
+    with pytest.raises(ValueError, match="not a whole number"):
+        euler_steps(n, T)
+
+
+@pytest.mark.parametrize("resolutions", [[8], [8, 8]])
+def test_strong_convergence_needs_two_distinct_resolutions(resolutions):
+    with pytest.raises(ValueError, match="two distinct resolutions"):
+        s.strong_convergence(
+            gbm(), ONE_WIENER, resolutions, 1.0, 20, 1, gbm_exact_terminal(0.05, 0.2, 1.0, 1.0)
+        )
