@@ -137,12 +137,6 @@ class NoiseRealization:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def events_between(self, a: float, b: float) -> slice:
-        """Index slice of events with time in (a, b]."""
-        lo = int(np.searchsorted(self.event_times, a, side="right"))
-        hi = int(np.searchsorted(self.event_times, b, side="right"))
-        return slice(lo, hi)
-
 
 def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealization:
     """Draw one realization of the noise on the given grid.
@@ -177,10 +171,8 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
         count = int(rng.poisson(lam_bar * T))
         times = np.sort(rng.random(count) * T)
         accept_u = rng.random(count)
-        keep = np.zeros(count, dtype=bool)
-        for j, t in enumerate(times):
-            keep[j] = t > 0 and accept_u[j] * lam_bar < spec.rate(float(t))
-        times = times[keep]
+        keep = [t > 0 and u * lam_bar < spec.rate(t) for t, u in zip(times.tolist(), accept_u.tolist())]
+        times = times[np.array(keep, dtype=bool)]
         marks = np.asarray(spec.mark_sampler(rng, times.size), dtype=float)
         if marks.ndim == 1:
             marks = marks[:, None]
@@ -191,67 +183,71 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     return NoiseRealization(grid, dW, times, marks)
 
 
-def _mark_average(g, spec: MartingaleMeasureSpec, t: float) -> np.ndarray:
-    """int g(t, xi) mu(dxi) by fixed-node Monte Carlo quadrature."""
+def _vec(v) -> np.ndarray:
+    """np.atleast_1d(np.asarray(v, dtype=float)) without the dispatch of atleast_1d."""
+    a = np.asarray(v, dtype=float)
+    return a if a.ndim else a.reshape(1)
+
+
+def _mark_average(g, h, spec: MartingaleMeasureSpec, t: float) -> np.ndarray:
+    """int g(t, h, xi) mu(dxi) by fixed-node Monte Carlo quadrature."""
     nodes = spec.compensator_node_set()
-    acc = np.atleast_1d(np.asarray(g(t, nodes[0]), dtype=float)).copy()
+    acc = _vec(g(t, h, nodes[0])).copy()
     for k in range(1, nodes.shape[0]):
-        acc += np.atleast_1d(np.asarray(g(t, nodes[k]), dtype=float))
+        acc += _vec(g(t, h, nodes[k]))
     return acc / nodes.shape[0]
 
 
-def _cell_entries(g, spec, real, l0, l1, compensator):
-    """Ordered (time, delta, is_jump) entries for realization cells l0..l1.
+def _cells(spec, real) -> list:
+    """Per cell: (s0, s1, Wiener increments, [(time, mark) of each event in (s0, s1]]).
 
-    One entry lands at every union point (grid right endpoints and event
-    times): each entry collects everything accrued on (previous point, time]:
-    Wiener increments weighted by g at the cell's left endpoint, jumps g(t_e,
-    xi_e) at exact event times, and the left-point compensator quadrature
-    -lambda(u) * int g(u,.) dmu * du.  Deltas are None for entries with no
-    contribution (resolved to zeros by the caller once the output dimension is
-    known).
+    Times and increments are Python floats; one search over the grid splits the events.
     """
-    grid = real.grid
-    dW = real.wiener_increments
-    has_jumps = spec.has_jumps
+    times = real.grid.tolist()
+    cut = np.searchsorted(real.event_times, real.grid, side="right").tolist()
+    events = list(zip(real.event_times.tolist(), real.event_marks)) if spec.has_jumps else []
+    return [
+        (times[k], times[k + 1], dw, events[cut[k] : cut[k + 1]])
+        for k, dw in enumerate(real.wiener_increments.tolist())
+    ]
+
+
+def _cell_entries(g, compensator, h, spec, s0, s1, dw, events):
+    """Ordered (time, delta, is_jump) entries for the cell (s0, s1], history h.
+
+    One entry lands at every union point (the cell's right endpoint and its
+    event times): each entry collects everything accrued on (previous point,
+    time]: Wiener increments weighted by g(s0, h, i), jumps g(t_e, h, xi_e) at
+    exact event times, and the left-point compensator quadrature
+    -lambda(u) * compensator(u, h) * du (node quadrature of g over mu when
+    compensator is None).  Deltas are None for entries with no contribution
+    (resolved to zeros by the caller once the output dimension is known).
+    """
     wc = spec.wiener_count
-    comp = compensator
-    if comp is None and has_jumps:
-        comp = lambda t: _mark_average(g, spec, t)
-
-    ev_slice = real.events_between(grid[l0], grid[l1]) if has_jumps else slice(0, 0)
-    ev_i = ev_slice.start
+    delta = None
+    if wc:
+        acc = _vec(g(s0, h, 0)) * dw[0]
+        for i in range(1, wc):
+            acc = acc + _vec(g(s0, h, i)) * dw[i]
+        delta = acc
     entries = []
-
-    for l in range(l0, l1):
-        s0 = float(grid[l])
-        s1 = float(grid[l + 1])
-        delta = None
-        if wc:
-            row = dW[l]
-            acc = np.atleast_1d(np.asarray(g(s0, 0), dtype=float)) * row[0]
-            for i in range(1, wc):
-                acc = acc + np.atleast_1d(np.asarray(g(s0, i), dtype=float)) * row[i]
-            delta = acc
-        if has_jumps:
-            u = s0
-            while ev_i < ev_slice.stop and real.event_times[ev_i] <= s1:
-                te = float(real.event_times[ev_i])
-                piece = -spec.rate(u) * np.atleast_1d(np.asarray(comp(u), dtype=float)) * (te - u)
-                jump = np.atleast_1d(np.asarray(g(te, real.event_marks[ev_i]), dtype=float))
-                entries.append((te, jump + piece, True))
-                u = te
-                ev_i += 1
-            if u < s1:
-                piece = -spec.rate(u) * np.atleast_1d(np.asarray(comp(u), dtype=float)) * (s1 - u)
-                delta = piece if delta is None else delta + piece
-        if entries and entries[-1][0] == s1:
-            # an event landed exactly on the grid point: fold the cell-end
-            # contribution into that entry instead of emitting a duplicate time
-            te, prev, is_jump = entries[-1]
-            entries[-1] = (te, prev if delta is None else prev + delta, is_jump)
-        else:
-            entries.append((s1, delta, False))
+    if spec.has_jumps:
+        comp = compensator or (lambda t, h: _mark_average(g, h, spec, t))
+        u = s0
+        for te, mark in events:
+            piece = -spec.rate(u) * _vec(comp(u, h)) * (te - u)
+            entries.append((te, _vec(g(te, h, mark)) + piece, True))
+            u = te
+        if u < s1:
+            piece = -spec.rate(u) * _vec(comp(u, h)) * (s1 - u)
+            delta = piece if delta is None else delta + piece
+    if entries and entries[-1][0] == s1:
+        # an event landed exactly on the grid point: fold the cell-end
+        # contribution into that entry instead of emitting a duplicate time
+        te, prev, is_jump = entries[-1]
+        entries[-1] = (te, prev if delta is None else prev + delta, is_jump)
+    else:
+        entries.append((s1, delta, False))
     return entries
 
 
@@ -276,14 +272,11 @@ def integrate(
     given, else frozen-node quadrature over mu.  Event times are marked as
     genuine jumps on the output path.
     """
-    entries = _cell_entries(g, spec, real, 0, real.grid.size - 1, compensator)
-    d = dim
-    for _, delta, _ in entries:
-        if delta is not None:
-            d = delta.size
-            break
-    if d is None:
-        d = 1
+    g_h = lambda t, _h, mark: g(t, mark)
+    comp_h = compensator and (lambda t, _h: compensator(t))
+    entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
+    sizes = (delta.size for _, delta, _ in entries if delta is not None)
+    d = next(sizes, 1 if dim is None else dim)
     start = float(real.grid[0])
     builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
     level = np.zeros(d)

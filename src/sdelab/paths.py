@@ -83,19 +83,22 @@ class CadlagPath:
             )
 
     # -- queries ---------------------------------------------------------
+    # The hot queries search first: a segment index below 0 means t lies
+    # before start, so one comparison pair guards the domain.
 
     def value_at(self, t: float) -> np.ndarray:
         """Value of the segment containing t (right-continuous)."""
-        self._check_domain(t)
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
+        i = self.breakpoints.searchsorted(t, "right") - 1
+        if i < 0 or t > self.end:
+            self._check_domain(t)
         return self.values[i]
 
     def left_limit(self, t: float) -> np.ndarray:
         """Value of the segment immediately preceding t; requires t > start."""
-        self._check_domain(t)
-        if t <= self.breakpoints[0]:
+        i = self.breakpoints.searchsorted(t, "left") - 1
+        if i < 0 or t > self.end:
+            self._check_domain(t)
             raise PathDomainError(f"left limit undefined at or before start ({t})")
-        i = int(np.searchsorted(self.breakpoints, t, side="left")) - 1
         return self.values[i]
 
     def window_sup(self, a: float, b: float) -> float:
@@ -106,10 +109,11 @@ class CadlagPath:
         """
         if a > b:
             raise ValueError(f"empty window: a={a} > b={b}")
-        self._check_domain(a)
-        self._check_domain(b)
-        lo = int(np.searchsorted(self.breakpoints, a, side="right")) - 1
-        hi = int(np.searchsorted(self.breakpoints, b, side="right")) - 1
+        lo = self.breakpoints.searchsorted(a, "right") - 1
+        hi = self.breakpoints.searchsorted(b, "right") - 1
+        if lo < 0 or b > self.end:
+            self._check_domain(a)
+            self._check_domain(b)
         chunk = self.values[lo : hi + 1]
         if chunk.shape[1] == 1:
             return float(np.max(np.abs(chunk)))
@@ -151,15 +155,17 @@ class PathBuilder:
         self._bp[:m] = seed_path.breakpoints
         self._vals[:m] = seed_path.values
         self._n = m
+        self._last = float(seed_path.breakpoints[-1])
         self._end = float(end)
         self._jumps: list[float] = list(seed_path.jump_times)
 
     def append(self, t: float, value: np.ndarray, *, jump: bool = False):
-        if t <= self._bp[self._n - 1]:
+        if t <= self._last:
             raise ValueError(f"appends must strictly increase in time ({t})")
         self._bp[self._n] = t
         self._vals[self._n] = value
         self._n += 1
+        self._last = t
         if jump:
             self._jumps.append(float(t))
 

@@ -60,11 +60,14 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
         euler_solve(model, spec, o["n"], o["T"], stream(cfg.seed, r), replication=r)
         for r in range(reps)
     ]
-    _write_csv(
-        out / "trajectories.csv",
-        "replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)),
-        ([r, t, *row] for r, p in enumerate(paths) for t, row in zip(p.breakpoints, p.values)),
-    )
+    # _write_csv's row format (index, then repr floats); tolist() reads a whole path per call
+    with open(out / "trajectories.csv", "w") as fh:
+        fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
+        for r, p in enumerate(paths):
+            fh.writelines(
+                f"{r},{t!r},{','.join(map(repr, row))}\n"
+                for t, row in zip(p.breakpoints.tolist(), p.values.tolist())
+            )
     if paths:
         terminal = np.array([p.value_at(p.end) for p in paths])
         stats = {

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ExplosionError, ModelError
-from .noise import MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries
+from .noise import MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries, _cells
 from .paths import CadlagPath, PathBuilder, sup_distance
 from .streams import stream
 
@@ -101,12 +101,11 @@ def euler_grid(n: int, T: float) -> np.ndarray:
 def _wrap_coefficient(fn, label, replication):
     def call(t, *args):
         try:
-            out = fn(t, *args)
+            return fn(t, *args)
         except ModelError:
             raise
         except Exception as exc:
             raise ModelError(f"{label} evaluation failed: {exc}", t=t, replication=replication) from exc
-        return out
 
     return call
 
@@ -143,22 +142,17 @@ def euler_solve(
 
     f = _wrap_coefficient(model.drift, "drift", replication)
     g = _wrap_coefficient(model.jump, "jump", replication)
+    comp = model.compensator and _wrap_coefficient(model.compensator, "compensator", replication)
 
     # One append per cell and per event, fewer where an event lands on the grid.
     appends = grid.size - 1 + realization.event_times.size
     builder = PathBuilder(model.initial, float(grid[-1]), appends)
     x = np.array(model.initial.value_at(0.0), dtype=float)
 
-    for k in range(grid.size - 1):
-        t0 = float(grid[k])
+    for s0, s1, dw, events in _cells(spec, realization):
         frozen = builder.freeze()
-        g_frozen = lambda t, mark, _h=frozen: g(t, _h, mark)
-        comp = None
-        if model.compensator is not None:
-            comp = lambda t, _h=frozen: model.compensator(t, _h)
-        entries = _cell_entries(g_frozen, spec, realization, k, k + 1, comp)
-        u = t0
-        for t, delta, is_jump in entries:
+        u = s0
+        for t, delta, is_jump in _cell_entries(g, comp, frozen, spec, s0, s1, dw, events):
             x = x + np.asarray(f(u, frozen), dtype=float) * (t - u)
             if delta is not None:
                 x = x + delta

@@ -52,6 +52,33 @@ CASES = {
         0,
         "0af9c4082aaa92d5c429747980eaa8253b80d60dc062943e5a72e90349a4b213",
     ),
+    "simulate-linear-2d": (
+        """
+        kind: simulate
+        model: linear
+        model_params: {dim: 2}
+        noise: {wiener: 2, jump_rate: 2.0, quadrature_nodes: 8}
+        n: 16
+        T: 1.0
+        replications: 10
+        seed: 22
+        """,
+        0,
+        "f90e45081434006a86974a38086b282e271bbc36cb8fca2bdb016c816d53ca6f",
+    ),
+    "simulate-delay-ode-jumps": (
+        """
+        kind: simulate
+        model: delay-ode
+        noise: {wiener: 0, jump_rate: 2.0, quadrature_nodes: 8}
+        n: 16
+        T: 2.0
+        replications: 10
+        seed: 23
+        """,
+        0,
+        "5c6f2fef08816e9db5aa96996e31245a57c55946d06cab3d7468fdef29d74997",
+    ),
     "convergence": (
         """
         kind: convergence

@@ -244,3 +244,11 @@ class TestCli:
             "p: 0.5\nq: 0.99\nalpha: 0.5\nreplications: 4000\nseed: 3\n"
         )
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_grid_too_large_to_allocate_is_an_error_line(self, tmp_path, capsys):
+        # 1e15 cells: the grid allocation fails at once (petabytes), it never starts.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 1\nT: 1.0e+15\nreplications: 1\nseed: 5\n")
+        assert cli_main(["validate", str(cfg)]) == 0
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")

@@ -11,6 +11,7 @@ import sdelab as s
 from sdelab.errors import ExplosionError, ModelError
 from sdelab.models import (
     additive_jumps,
+    build_noise,
     delay_ode,
     gbm,
     gbm_exact_terminal,
@@ -224,6 +225,21 @@ class TestEulerSolve:
             s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), replication=7)
         assert "t=0.5" in str(err.value) and "replication=7" in str(err.value)
 
+    def test_compensator_error_context(self):
+        def bad_compensator(t, h):
+            if t >= 0.5:
+                raise RuntimeError("compensator broke")
+            return np.zeros(1)
+
+        model = s.CoefficientModel(
+            dim=1, delay=1.0, drift=lambda t, h: np.zeros(1), jump=lambda t, h, m: np.zeros(1),
+            initial=constant_path(0.0, -1.0, 0.0), compensator=bad_compensator,
+        )
+        spec = build_noise(wiener=1, jump_rate=2.0)
+        with pytest.raises(ModelError, match="compensator evaluation failed") as err:
+            s.euler_solve(model, spec, 4, 1.0, (0, 0), replication=7)
+        assert "t=0.5" in str(err.value) and "replication=7" in str(err.value)
+
     def test_realization_must_contain_boundaries(self):
         real = s.sample_noise(ONE_WIENER, s.euler_grid(4, 1.0), (0, 0))
         with pytest.raises(ValueError):
@@ -291,3 +307,27 @@ def test_strong_convergence_needs_two_distinct_resolutions(resolutions):
         s.strong_convergence(
             gbm(), ONE_WIENER, resolutions, 1.0, 20, 1, gbm_exact_terminal(0.05, 0.2, 1.0, 1.0)
         )
+
+
+def test_event_on_a_grid_point_folds_into_one_entry():
+    # Events at 0.25 (a grid point), 0.6 and 1.0 (the horizon): an event on
+    # the grid takes the cell-end contribution into its own entry, so no time
+    # repeats.  Values recorded from the entry builder before its rewrite.
+    spec = s.MartingaleMeasureSpec(
+        wiener_count=1, intensity=lambda t: 2.0, intensity_bound=2.0,
+        mark_sampler=s.uniform_marks(0.0, 1.0), quadrature_nodes=8,
+    )
+    real = s.NoiseRealization(
+        s.euler_grid(4, 1.0), np.array([[0.1], [-0.2], [0.05], [0.3]]),
+        np.array([0.25, 0.6, 1.0]), np.array([[0.5], [0.2], [0.9]]),
+    )
+    x = s.euler_solve(geometric_jump(), spec, 4, 1.0, realization=real)
+    assert x.breakpoints.tolist() == [-1.0, 0.25, 0.5, 0.6, 0.75, 1.0]
+    assert x.values[:, 0].tolist() == [
+        1.0, 1.1075, 0.9939812499999998, 1.0287705937499998, 1.0014361093749997, 1.2693202686328122,
+    ]
+    assert x.jump_times == (0.25, 0.6, 1.0)
+    m = s.integrate(s.mark_rectangle(0.0, 0.6), spec, real)
+    assert m.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
+    assert m.values[:, 0].tolist() == [0.0, 0.625, 0.25, 1.1, 0.875, 0.5]
+    assert m.jump_times == (0.25, 0.6, 1.0)
