@@ -19,7 +19,6 @@ from .noise import (
 )
 from .solver import (
     CoefficientModel,
-    kappa,
     euler_grid,
     euler_solve,
     coarsen_noise,
@@ -61,7 +60,6 @@ __all__ = [
     "uniform_marks",
     "mark_rectangle",
     "CoefficientModel",
-    "kappa",
     "euler_grid",
     "euler_solve",
     "coarsen_noise",

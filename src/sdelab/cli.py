@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .config import parse_config
+from .config import check_seed, parse_config
 from .errors import ConfigError, SdeLabError
 from .runner import run_experiment
 
@@ -68,14 +68,14 @@ def main(argv=None) -> int:
     try:
         env_seed = _env_int("SDE_SEED")
         env_threads = _env_int("SDE_THREADS")
+        if args.seed is not None:
+            cfg.seed = check_seed("--seed", args.seed)
+        elif env_seed is not None:
+            cfg.seed = check_seed("SDE_SEED", env_seed)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif env_seed is not None:
-        cfg.seed = env_seed
     if args.threads is not None:
         cfg.threads = max(1, args.threads)
     elif env_threads is not None:

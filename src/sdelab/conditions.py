@@ -135,7 +135,7 @@ def _squared_mark_integral(model, spec, t, x, y=None) -> float:
     if spec.has_jumps:
         lam = spec.rate(t)
         if lam > 0:
-            nodes = spec.compensator_node_set()
+            nodes = spec.compensator_nodes
             acc = 0.0
             for node in nodes:
                 acc += sq(node)

@@ -23,8 +23,9 @@ from .conditions import CONDITIONS
 from .errors import ConfigError
 from .models import MODEL_NAMES, ORACLE_MODELS, model_param_names, noise_problems
 from .solver import euler_steps
+from .streams import KEY_LIMIT
 
-__all__ = ["ExperimentConfig", "parse_config", "KINDS"]
+__all__ = ["ExperimentConfig", "parse_config", "check_seed", "KINDS"]
 
 _NOISE_KEYS = {"wiener", "jump_rate", "mark_low", "mark_high", "quadrature_nodes"}
 
@@ -83,10 +84,12 @@ _NUMBER = ("be a number", _is_number)
 _FINITE = ("be finite and fit a float", _is_finite)
 
 
-def _integer(minimum):
-    return _check(("be an integer", _is_int), (f"be >= {minimum}", lambda v: v >= minimum), _FINITE)
+def _integer(minimum, *stages):
+    return _check(("be an integer", _is_int), (f"be >= {minimum}", lambda v: v >= minimum), _FINITE, *stages)
 
 
+# A seed is a Philox key word; a larger one would alias a smaller seed.
+_seed = _integer(0, ("be < 2**64", lambda v: v < KEY_LIMIT))
 _number = _check(_NUMBER, _FINITE, convert=float)
 _positive = _check(_NUMBER, ("be positive", lambda v: v > 0), _FINITE, convert=float)
 # Exponents of the moment bounds live strictly inside (0, 1).
@@ -225,7 +228,7 @@ class _Row(NamedTuple):
 
 
 _COMMON = (
-    _Row("seed", _integer(0), required=True),
+    _Row("seed", _seed, required=True),
     _Row("threads", _integer(1), default=1),
     _Row("output", _text),
 )
@@ -288,6 +291,11 @@ _SCHEMAS = {
 }
 
 KINDS = tuple(_SCHEMAS)
+
+
+def check_seed(source: str, value) -> int:
+    """A seed override (a flag or environment variable), checked like the config key."""
+    return _seed(source, value, {})
 
 
 def _read(row: _Row, data: dict, parsed: dict):

@@ -86,10 +86,14 @@ def gronwall_bound(variant: str, p: float, a_total: float, h_stat: float) -> flo
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """Deterministic non-decreasing cadlag function with declared jump times."""
+    """Deterministic non-decreasing cadlag function.
+
+    An ensemble reads A only at the breakpoints of its X, M and H paths, so
+    its assumption check is exact only when A is continuous or jumps at those
+    breakpoints.
+    """
 
     fn: Callable[[float], float]
-    jump_times: tuple = ()
 
     def __call__(self, t: float) -> float:
         return float(self.fn(t))
@@ -159,9 +163,6 @@ class GronwallEnsemble:
             if abs(float(m.values[0, 0])) > 1e-12:
                 raise EnsembleError(f"replication {r}: M(0) must be 0")
             pts = np.union1d(np.union1d(x.breakpoints, m.breakpoints), h.breakpoints)
-            if self.clock.jump_times:
-                jt = np.asarray(self.clock.jump_times)
-                pts = np.union1d(pts, jt[(jt >= 0) & (jt <= self.horizon)])
             pts = pts[(pts >= 0) & (pts <= self.horizon)]
             xs = sample(x, pts)
             a_vals = np.array([self.clock(t) for t in pts])
@@ -177,27 +178,6 @@ class GronwallEnsemble:
     @property
     def replications(self) -> int:
         return len(self.x_paths)
-
-    def scaled(self, factor: float) -> "GronwallEnsemble":
-        """Jointly scale (X, M, H) by a positive constant; A is untouched."""
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-
-        def scale(paths):
-            return [
-                CadlagPath(p.breakpoints, factor * p.values, p.end, p.jump_times)
-                for p in paths
-            ]
-
-        return GronwallEnsemble(
-            scale(self.x_paths),
-            scale(self.m_paths),
-            scale(self.h_paths),
-            self.clock,
-            self.horizon,
-            self.p,
-            h_predictable=self.h_predictable,
-        )
 
 
 @dataclass(frozen=True)

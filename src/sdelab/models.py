@@ -140,7 +140,7 @@ def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5, delay: float = 1.
     def jump(t, h, mark):
         if isinstance(mark, (int, np.integer)):
             return np.zeros(1)
-        return gamma * np.atleast_1d(mark)[:1]
+        return gamma * mark[:1]
 
     return CoefficientModel(
         dim=1,
@@ -181,7 +181,7 @@ def geometric_jump(
     def jump(t, h, mark):
         if isinstance(mark, (int, np.integer)):
             return sigma * h.value_at(t)
-        return gamma * float(np.atleast_1d(mark)[0]) * h.value_at(t)
+        return gamma * float(mark[0]) * h.value_at(t)
 
     noise_l2 = sigma * sigma + gamma * gamma * rate_bound * mark_sq_bound
     lip = 2 * abs(mu) + noise_l2

@@ -20,7 +20,8 @@ histories; deterministic g is trivially fine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,9 @@ __all__ = [
 # constant key keeps the compensated integral predictable.
 _NODE_SEED = 0x6E6F6465  # "node"
 
+# Two-sided 99% normal quantile.
+Z_TWO_SIDED = 2.5758293035489004
+
 
 def uniform_marks(low, high) -> Callable:
     """Sampler for the uniform distribution on a rectangle [low, high] in R^k."""
@@ -56,7 +60,6 @@ def uniform_marks(low, high) -> Callable:
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return lo + (hi - lo) * rng.random((size, lo.size))
 
-    sampler.mark_dim = lo.size
     return sampler
 
 
@@ -67,16 +70,15 @@ class MartingaleMeasureSpec:
     intensity is lambda(t) >= 0 (locally integrable on the horizon);
     intensity_bound is a finite dominating constant for thinning.  mark_sampler
     draws i.i.d. marks from mu; mu being a probability measure is the
-    sampler's contract.
+    sampler's contract.  A sampler may return a 1-d array of scalar marks;
+    coefficients still see each mark as a 1-d row.
     """
 
     wiener_count: int = 0
     intensity: Optional[Callable[[float], float]] = None
     intensity_bound: float = 0.0
     mark_sampler: Optional[Callable] = None
-    mark_dim: int = 1
     quadrature_nodes: int = 64
-    _nodes_cache: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.wiener_count < 0:
@@ -85,8 +87,6 @@ class MartingaleMeasureSpec:
             raise NoiseSpecError("intensity_bound must be finite and >= 0")
         if self.intensity is not None and self.mark_sampler is None and self.intensity_bound > 0:
             raise NoiseSpecError("jump intensity given but no mark sampler to draw from")
-        if self.mark_sampler is not None and hasattr(self.mark_sampler, "mark_dim"):
-            object.__setattr__(self, "mark_dim", int(self.mark_sampler.mark_dim))
 
     def rate(self, t: float) -> float:
         if self.intensity is None:
@@ -104,19 +104,22 @@ class MartingaleMeasureSpec:
     def has_jumps(self) -> bool:
         return self.intensity is not None and self.intensity_bound > 0
 
-    def compensator_node_set(self) -> np.ndarray:
-        """Frozen Monte Carlo quadrature nodes on the mark space.
+    @cached_property
+    def compensator_nodes(self) -> np.ndarray:
+        """Frozen Monte Carlo quadrature nodes on the mark space, one mark per row.
 
         The same nodes are reused across every replication so the compensator
         is a deterministic function of time.
         """
-        if self._nodes_cache is None:
-            if self.mark_sampler is None:
-                raise NoiseSpecError("mark distribution is not samplable; supply a closed-form compensator")
-            rng = stream(_NODE_SEED, QUADRATURE_STREAM)
-            nodes = np.asarray(self.mark_sampler(rng, self.quadrature_nodes), dtype=float)
-            object.__setattr__(self, "_nodes_cache", nodes)
-        return self._nodes_cache
+        if self.mark_sampler is None:
+            raise NoiseSpecError("mark distribution is not samplable; supply a closed-form compensator")
+        return _mark_rows(self.mark_sampler(stream(_NODE_SEED, QUADRATURE_STREAM), self.quadrature_nodes))
+
+
+def _mark_rows(marks) -> np.ndarray:
+    """Sampled marks as rows: a 1-d sample holds one scalar mark per entry."""
+    marks = np.asarray(marks, dtype=float)
+    return marks[:, None] if marks.ndim == 1 else marks
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ class NoiseRealization:
     grid: np.ndarray                 # (N+1,) increasing, grid[0] == 0
     wiener_increments: np.ndarray    # (N, wiener_count)
     event_times: np.ndarray          # (E,)
-    event_marks: np.ndarray          # (E, mark_dim)
+    event_marks: np.ndarray          # (E, k), one mark per row
 
     @property
     def horizon(self) -> float:
@@ -173,12 +176,10 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
         accept_u = rng.random(count)
         keep = [t > 0 and u * lam_bar < spec.rate(t) for t, u in zip(times.tolist(), accept_u.tolist())]
         times = times[np.array(keep, dtype=bool)]
-        marks = np.asarray(spec.mark_sampler(rng, times.size), dtype=float)
-        if marks.ndim == 1:
-            marks = marks[:, None]
+        marks = _mark_rows(spec.mark_sampler(rng, times.size))
     else:
         times = np.empty(0)
-        marks = np.empty((0, spec.mark_dim))
+        marks = np.empty((0, 1))
 
     return NoiseRealization(grid, dW, times, marks)
 
@@ -191,7 +192,7 @@ def _vec(v) -> np.ndarray:
 
 def _mark_average(g, h, spec: MartingaleMeasureSpec, t: float) -> np.ndarray:
     """int g(t, h, xi) mu(dxi) by fixed-node Monte Carlo quadrature."""
-    nodes = spec.compensator_node_set()
+    nodes = spec.compensator_nodes
     acc = _vec(g(t, h, nodes[0])).copy()
     for k in range(1, nodes.shape[0]):
         acc += _vec(g(t, h, nodes[k]))
@@ -256,8 +257,6 @@ def integrate(
     spec: MartingaleMeasureSpec,
     real: NoiseRealization,
     compensator: Optional[Callable[[float], np.ndarray]] = None,
-    *,
-    dim: Optional[int] = None,
 ) -> CadlagPath:
     """Stochastic integral of g against the realized martingale measure.
 
@@ -276,7 +275,7 @@ def integrate(
     comp_h = compensator and (lambda t, _h: compensator(t))
     entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
     sizes = (delta.size for _, delta, _ in entries if delta is not None)
-    d = next(sizes, 1 if dim is None else dim)
+    d = next(sizes, 1)
     start = float(real.grid[0])
     builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
     level = np.zeros(d)
@@ -300,12 +299,9 @@ class CovariationEstimate:
 
 
 def empirical_covariation(
-    paths_a: Sequence[CadlagPath],
-    paths_b: Sequence[CadlagPath],
-    *,
-    z: float = 2.5758293035489004,  # two-sided 99%
+    paths_a: Sequence[CadlagPath], paths_b: Sequence[CadlagPath]
 ) -> CovariationEstimate:
-    """Monte Carlo estimate of E[M_T(A) * M_T(B)] from paired integral paths.
+    """Monte Carlo estimate of E[M_T(A) * M_T(B)], with a 99% CI, from paired integral paths.
 
     Both ensembles must come from the same noise realizations, paired by
     index.
@@ -318,7 +314,7 @@ def empirical_covariation(
     n = prods.size
     mean = float(prods.mean())
     se = float(prods.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return CovariationEstimate(mean, se, mean - z * se, mean + z * se, n)
+    return CovariationEstimate(mean, se, mean - Z_TWO_SIDED * se, mean + Z_TWO_SIDED * se, n)
 
 
 def mark_rectangle(low, high):
@@ -329,8 +325,7 @@ def mark_rectangle(low, high):
     def g(t, mark):
         if isinstance(mark, (int, np.integer)):
             return np.array([0.0])
-        m = np.atleast_1d(mark)
-        inside = np.all(m >= lo) and np.all(m <= hi)
+        inside = np.all(mark >= lo) and np.all(mark <= hi)
         return np.array([1.0 if inside else 0.0])
 
     return g

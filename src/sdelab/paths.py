@@ -119,16 +119,6 @@ class CadlagPath:
             return float(np.max(np.abs(chunk)))
         return float(np.sqrt(np.max(np.einsum("ij,ij->i", chunk, chunk))))
 
-    def history(self, t: float) -> "CadlagPath":
-        """The path frozen at t: equal to self on [start, t], constant afterwards.
-
-        Idempotent; the frozen value propagates through the rest of the domain.
-        """
-        self._check_domain(t)
-        hi = int(np.searchsorted(self.breakpoints, t, side="right"))
-        jumps = tuple(j for j in self.jump_times if j <= t)
-        return CadlagPath._trusted(self.breakpoints[:hi], self.values[:hi], self.end, jumps)
-
 
 def constant_path(value, start: float, end: float) -> CadlagPath:
     """Path identically equal to `value` on [start, end]."""

@@ -16,13 +16,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ExplosionError, ModelError
-from .noise import MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries, _cells
+from .noise import Z_TWO_SIDED, MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries, _cells
 from .paths import CadlagPath, PathBuilder, sup_distance
 from .streams import stream
 
 __all__ = [
     "CoefficientModel",
-    "kappa",
     "euler_steps",
     "euler_grid",
     "euler_solve",
@@ -72,16 +71,6 @@ class CoefficientModel:
             raise ValueError(f"initial segment dimension {z.dimension} != model dim {self.dim}")
         if not np.isfinite(z.values).all():
             raise ValueError("initial segment must have finite sup norm")
-
-
-def kappa(n: int, t: float) -> float:
-    """Grid anchor: k/n for t in (k/n, (k+1)/n], and t itself on [-tau, 0]."""
-    if t <= 0.0:
-        return float(t)
-    k = math.ceil(t * n) - 1
-    if k < 0:
-        k = 0
-    return k / n
 
 
 def euler_steps(n: int, T: float) -> int:
@@ -197,7 +186,9 @@ class GapEstimate:
     threshold: float
 
 
-def _wilson(hits: int, n: int, z: float = 2.5758293035489004) -> tuple[float, float, float]:
+def _wilson(hits: int, n: int) -> tuple[float, float, float]:
+    """Hit rate with its two-sided 99% Wilson score interval."""
+    z = Z_TWO_SIDED
     p = hits / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -10,22 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "as_generator", "QUADRATURE_STREAM"]
+__all__ = ["stream", "as_generator", "KEY_LIMIT", "QUADRATURE_STREAM"]
 
-_MASK64 = (1 << 64) - 1
+# Seeds and stream indices are Philox key words: integers in [0, 2**64).
+KEY_LIMIT = 1 << 64
 
 # Reserved substream index for compensator quadrature nodes: the nodes must be
 # the same deterministic draw for every replication of an experiment.
-QUADRATURE_STREAM = _MASK64
+QUADRATURE_STREAM = KEY_LIMIT - 1
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for replication `index` of an experiment seeded by `seed`.
 
     Philox is counter-based: distinct (seed, index) keys give statistically
-    independent streams with no sequential dependence between them.
+    independent streams with no sequential dependence between them.  Raises
+    ValueError for a key outside [0, 2**64), which would alias another key.
     """
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    if not (0 <= seed < KEY_LIMIT and 0 <= index < KEY_LIMIT):
+        raise ValueError(f"stream key ({seed}, {index}) must lie in [0, 2**64)")
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -35,6 +39,4 @@ def as_generator(stream_id) -> np.random.Generator:
         return stream_id
     if isinstance(stream_id, (tuple, list)) and len(stream_id) == 2:
         return stream(int(stream_id[0]), int(stream_id[1]))
-    if isinstance(stream_id, (int, np.integer)):
-        return stream(int(stream_id), 0)
-    raise TypeError(f"expected Generator, (seed, index) pair or int, got {stream_id!r}")
+    raise TypeError(f"expected Generator or (seed, index) pair, got {stream_id!r}")

@@ -330,6 +330,15 @@ def test_integers_must_fit_a_float(text, problem, tmp_path):
     assert validate_exit(text, tmp_path) == 1
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1])
+def test_seed_must_fit_64_bits(seed, tmp_path):
+    # Masked to 64 bits, seed 2**64 + 1 ran as seed 1.
+    text = MINIMAL_SIMULATE.replace("seed: 42", f"seed: {seed}")
+    assert problems_of(text) == [f"'seed' must be < 2**64, got {seed}"]
+    assert validate_exit(text, tmp_path) == 1
+    assert parse_config(MINIMAL_SIMULATE.replace("seed: 42", f"seed: {2**64 - 1}")).seed == 2**64 - 1
+
+
 def test_non_finite_values_rejected_before_keep_their_message():
     for value, problem in [(".nan", "must be positive, got nan"), ("-.inf", "must be positive, got -inf")]:
         assert problems_of(MINIMAL_SIMULATE.replace("T: 1.0", f"T: {value}")) == [f"'T' {problem}"]

@@ -85,6 +85,30 @@ def constant_ensemble(h0: float, p: float, reps: int = 8) -> s.GronwallEnsemble:
     )
 
 
+def scaled(ens: s.GronwallEnsemble, factor: float) -> s.GronwallEnsemble:
+    """(X, M, H) jointly scaled by a positive constant; A is untouched."""
+
+    def scale(paths):
+        return [s.CadlagPath(p.breakpoints, factor * p.values, p.end, p.jump_times) for p in paths]
+
+    return s.GronwallEnsemble(
+        scale(ens.x_paths), scale(ens.m_paths), scale(ens.h_paths), ens.clock, ens.horizon, ens.p,
+        h_predictable=ens.h_predictable,
+    )
+
+
+def three_grid_ensemble(x_after: float) -> s.GronwallEnsemble:
+    """X jumps to x_after at 0.5, M to 1.5 at 0.3, H from 1 to 2 at 0.7; A = 0."""
+
+    def step(t, before, after):
+        return s.CadlagPath(np.array([0.0, t]), np.array([[before], [after]]), 1.0)
+
+    return s.GronwallEnsemble(
+        [step(0.5, 1.0, x_after)], [step(0.3, 0.0, 1.5)], [step(0.7, 1.0, 2.0)],
+        s.MonotoneFunction(lambda u: 0.0), horizon=1.0, p=0.5,
+    )
+
+
 class TestVerify:
     def test_deterministic_reduction_ratio(self):
         p, h0 = 0.5, 2.0
@@ -127,8 +151,8 @@ class TestVerify:
         holds = s.gbm_squared_ensemble(500, 0.5, seed=3)
         broken = s.counterexample_ensemble(0.99, 0.5, 0.5, 5000, seed=3)
         for lam in (0.01, 100.0):
-            assert s.verify_gronwall(holds.scaled(lam), "c").holds
-            assert s.verify_gronwall(broken.scaled(lam), "a", force=True).verdict == "violated"
+            assert s.verify_gronwall(scaled(holds, lam), "c").holds
+            assert s.verify_gronwall(scaled(broken, lam), "a", force=True).verdict == "violated"
 
     def test_rejects_assumption_violation(self):
         # X exceeds M + H with A = 0: not a valid ensemble.
@@ -139,6 +163,16 @@ class TestVerify:
             s.GronwallEnsemble(
                 [big], [zero], [small], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5
             )
+
+    def test_accepts_paths_on_different_grids(self):
+        # X <= M + H on every segment of the union grid {0, 0.3, 0.5, 0.7}.
+        assert three_grid_ensemble(2.0).replications == 1
+
+    def test_rejects_a_violation_only_at_one_paths_breakpoint(self):
+        # X = 3 > M + H = 2.5 on [0.5, 0.7) only: the grid of M and H
+        # alone ({0, 0.3, 0.7}) would miss it.
+        with pytest.raises(EnsembleError, match="fails at t=0.5 "):
+            three_grid_ensemble(3.0)
 
     def test_rejects_negative_x(self):
         neg = s.CadlagPath(np.array([0.0]), np.array([[-1.0]]), 1.0)

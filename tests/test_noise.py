@@ -5,6 +5,7 @@ derived for (3 sigma of the exact moments), under fixed seeds, so they are
 deterministic.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,6 +86,12 @@ class TestSampling:
         assert np.array_equal(a.wiener_increments, b.wiener_increments)
         assert np.array_equal(a.event_times, b.event_times)
         assert np.array_equal(a.event_marks, b.event_marks)
+
+    @pytest.mark.parametrize("key", [(2**64 + 1, 0), (-1, 0), (1, 2**64)])
+    def test_stream_key_outside_64_bits_is_rejected(self, key):
+        # Masked to 64 bits, seed 2**64 + 1 would replay seed 1.
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+            s.stream(*key)
 
     def test_thread_count_does_not_change_samples(self):
         spec = jump_spec(2.0)
@@ -194,6 +201,12 @@ class TestIntegrate:
         path = s.integrate(scalar_mark_integrand(), spec, real)
         assert path.jump_times == tuple(float(t) for t in real.event_times)
 
+    def test_replaced_spec_draws_its_own_nodes(self):
+        # The node cache is no field, so replace() cannot carry stale nodes.
+        spec = jump_spec(1.0)
+        assert spec.compensator_nodes.shape == (64, 1)
+        assert dataclasses.replace(spec, quadrature_nodes=8).compensator_nodes.shape == (8, 1)
+
     def test_unsamplable_mark_distribution_is_rejected_at_spec_time(self):
         # "no closed-form compensator and mu not samplable" cannot even be
         # expressed: a jump intensity without a mark sampler is refused.
@@ -230,13 +243,13 @@ class TestCovariation:
     def test_zero_intensity_exactly_zero(self):
         spec = s.MartingaleMeasureSpec(wiener_count=0)
         real = s.sample_noise(spec, GRID, (1, 1))
-        paths = [s.integrate(lambda t, m: np.array([1.0]), spec, real, dim=1) for _ in range(10)]
+        paths = [s.integrate(lambda t, m: np.array([1.0]), spec, real) for _ in range(10)]
         est = s.empirical_covariation(paths, paths)
         assert est.mean == 0.0
 
     def test_size_mismatch_rejected(self):
         spec = s.MartingaleMeasureSpec(wiener_count=0)
         real = s.sample_noise(spec, GRID, (1, 1))
-        p = s.integrate(lambda t, m: np.array([1.0]), spec, real, dim=1)
+        p = s.integrate(lambda t, m: np.array([1.0]), spec, real)
         with pytest.raises(ValueError):
             s.empirical_covariation([p, p], [p])

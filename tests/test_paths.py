@@ -6,12 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdelab import CadlagPath, constant_path, sup_distance, write_path_csv
+from sdelab import CadlagPath, PathBuilder, constant_path, sup_distance, write_path_csv
 from sdelab.errors import PathDomainError
 
 
 def two_step():
     return CadlagPath(np.array([0.0, 1.0]), np.array([[2.0], [5.0]]), 2.0)
+
+
+def frozen_at(p: CadlagPath, t: float) -> CadlagPath:
+    """p rebuilt by a PathBuilder through its breakpoints up to t, then frozen."""
+    k = int(np.searchsorted(p.breakpoints, t, side="right"))
+    builder = PathBuilder(CadlagPath(p.breakpoints[:1], p.values[:1], p.start), p.end, k - 1)
+    for bt, v in zip(p.breakpoints[1:k], p.values[1:k]):
+        builder.append(bt, v)
+    return builder.freeze()
 
 
 class TestValueAt:
@@ -72,21 +81,25 @@ class TestWindowSup:
 
 
 class TestHistory:
+    """PathBuilder.freeze: the history built so far, constant to the end."""
+
     def test_identity_on_constants(self):
-        p = constant_path(2.5, -1.0, 3.0)
-        h = p.history(1.0)
+        h = frozen_at(constant_path(2.5, -1.0, 3.0), 1.0)
         for t in (-1.0, 0.0, 2.0, 3.0):
             assert h.value_at(t)[0] == 2.5
 
     def test_frozen_value_propagates(self):
-        assert two_step().history(0.5).value_at(1.5)[0] == 2.0
+        assert frozen_at(two_step(), 0.5).value_at(1.5)[0] == 2.0
 
     def test_idempotence(self):
-        p = two_step()
-        once = p.history(0.7)
-        twice = once.history(0.7)
+        # Freezing twice gives the same view, and a later append leaves it be.
+        builder = PathBuilder(constant_path(2.0, 0.0, 0.0), 2.0, 1)
+        once = builder.freeze()
+        twice = builder.freeze()
+        builder.append(1.0, np.array([5.0]))
         assert np.array_equal(once.breakpoints, twice.breakpoints)
         assert np.array_equal(once.values, twice.values)
+        assert once.value_at(1.5)[0] == 2.0
 
 
 def test_construction_invariants():
@@ -158,7 +171,7 @@ def path_and_times(draw):
 @given(path_and_times())
 def test_history_composes_with_value_at(case):
     p, t, s = case
-    assert p.history(t).value_at(s)[0] == p.value_at(min(s, t))[0]
+    assert frozen_at(p, t).value_at(s)[0] == p.value_at(min(s, t))[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -233,6 +233,25 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--seed", "7", "--out", str(out2)]) == 0
         assert read_report(out2)["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "seed, problem", [("-1", "must be >= 0, got -1"), (str(2**64), f"must be < 2**64, got {2**64}")]
+    )
+    @pytest.mark.parametrize("source", ["--seed", "SDE_SEED"])
+    def test_seed_override_out_of_range(self, source, seed, problem, tmp_path, monkeypatch, capsys):
+        # Both overrides take the config key's check; masked to 64 bits,
+        # -1 ran as seed 2**64 - 1.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 5\n")
+        out = tmp_path / "o"
+        args = ["run", str(cfg), "--out", str(out)]
+        if source == "--seed":
+            args += ["--seed", seed]
+        else:
+            monkeypatch.setenv("SDE_SEED", seed)
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == f"config error: '{source}' {problem}\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["run", "/does/not/exist.yaml"]) == 1
         assert "cannot read config" in capsys.readouterr().err

@@ -47,23 +47,36 @@ def delay_ode_exact(t: float) -> float:
     raise ValueError("oracle only derived up to t = 2")
 
 
+def kappa(n: int, t: float) -> float:
+    """Grid anchor: k/n for t in (k/n, (k+1)/n], and t itself on [-tau, 0]."""
+    return float(t) if t <= 0.0 else (math.ceil(t * n) - 1) / n
+
+
+def frozen_at(path, t: float):
+    """The path frozen at t: equal to path on [start, t], constant afterwards."""
+    k = int(np.searchsorted(path.breakpoints, t, side="right"))
+    return s.CadlagPath(path.breakpoints[:k], path.values[:k], path.end)
+
+
 class TestKappa:
+    """The anchor map the frozen-history contract test reads."""
+
     def test_interior_cell(self):
-        assert s.kappa(2, 0.75) == 0.5
+        assert kappa(2, 0.75) == 0.5
 
     def test_left_open_cell_anchors_to_zero(self):
-        assert s.kappa(2, 0.5) == 0.0
+        assert kappa(2, 0.5) == 0.0
 
     def test_identity_on_history_interval(self):
-        assert s.kappa(3, -0.2) == -0.2
+        assert kappa(3, -0.2) == -0.2
 
     def test_zero(self):
-        assert s.kappa(5, 0.0) == 0.0
+        assert kappa(5, 0.0) == 0.0
 
     def test_grid_points_anchor_to_previous_cell(self):
         for n in (3, 7, 64):
             for k in range(1, 2 * n):
-                assert s.kappa(n, k / n) == pytest.approx((k - 1) / n)
+                assert kappa(n, k / n) == pytest.approx((k - 1) / n)
 
 
 class TestEulerSolve:
@@ -140,6 +153,29 @@ class TestEulerSolve:
         assert x.value_at(1.0)[0] == pytest.approx(expected, abs=1e-12)
         assert x.jump_times == tuple(float(t) for t in real.event_times)
 
+    def test_scalar_mark_sampler(self):
+        # A 1-d sample holds scalar marks.  Events and the compensator's
+        # quadrature nodes both hand each one to g as a 1-d row, so g may
+        # read mark[0]; the solve equals that of the same draws as rows.
+        def spec(sampler):
+            return s.MartingaleMeasureSpec(
+                wiener_count=0, intensity=lambda t: 2.0, intensity_bound=2.0,
+                mark_sampler=sampler, quadrature_nodes=8,
+            )
+
+        model = s.CoefficientModel(
+            dim=1, delay=1.0, drift=lambda t, h: np.zeros(1),
+            jump=lambda t, h, mark: 0.5 * mark[0] * h.value_at(t),
+            initial=constant_path(1.0, -1.0, 0.0),
+        )
+        scalar = spec(lambda rng, size: rng.random(size))
+        rows = spec(lambda rng, size: rng.random((size, 1)))
+        x = s.euler_solve(model, scalar, 8, 1.0, (12, 0))
+        y = s.euler_solve(model, rows, 8, 1.0, (12, 0))
+        assert len(x.jump_times) > 0
+        assert np.array_equal(x.breakpoints, y.breakpoints)
+        assert np.array_equal(x.values, y.values)
+
     def test_jump_diffusion_strong_order(self):
         # Full pipeline (drift + Wiener + jumps + compensator) against the
         # stochastic-exponential endpoint sharing the same realization.
@@ -193,8 +229,8 @@ class TestEulerSolve:
         n = 4
         x = s.euler_solve(model, ONE_WIENER, n, 1.0, (33, 0))
         for t, h in seen:
-            anchor = s.kappa(n, t + 1e-12) if t > 0 else 0.0
-            frozen = x.history(anchor)
+            anchor = kappa(n, t + 1e-12) if t > 0 else 0.0
+            frozen = frozen_at(x, anchor)
             for probe in (-0.5, anchor / 2, anchor, (anchor + 1.0) / 2, 1.0):
                 assert h.value_at(probe)[0] == frozen.value_at(probe)[0]
 
