@@ -4,17 +4,22 @@
     sde validate <config.yaml>
 
 Seed and thread count can also come from SDE_SEED / SDE_THREADS; precedence
-is flag > environment > config file.  The thread count has no effect:
-replications run serially in one process, and results never depend on it.
+is flag > environment > config file, and an environment variable is read only
+when its flag is absent.  Either override, as text, takes the config key's
+check, so a value that is not an integer is a config error too.  The
+thread count has no effect: replications run serially in one process, and
+results never depend on it.  A run that fails after its config loaded ends
+stderr with the command that replays it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 
-from .config import check_seed, parse_config
+from .config import check_override, parse_config
 from .errors import ConfigError, SdeLabError
 from .runner import run_experiment
 
@@ -25,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment described by a config file")
     run_p.add_argument("config", help="path to the YAML experiment config")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None, help="no effect (replications run serially)")
+    run_p.add_argument("--seed", default=None, help="override the config seed")
+    run_p.add_argument("--threads", default=None, help="no effect (replications run serially)")
     run_p.add_argument("--out", default=None, help="output directory for artifacts")
 
     val_p = sub.add_parser("validate", help="check a config file and report every problem")
@@ -39,20 +44,16 @@ def _load(path: str):
         return parse_config(fh.read())
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError([f"environment variable {name}={raw!r} is not an integer"])
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args.config)
+        for key in ("seed", "threads") if args.command == "run" else ():
+            flag, env = getattr(args, key), f"SDE_{key.upper()}"
+            if flag is not None:
+                setattr(cfg, key, check_override(key, f"--{key}", flag))
+            elif env in os.environ:
+                setattr(cfg, key, check_override(key, env, os.environ[env]))
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -66,32 +67,16 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        env_seed = _env_int("SDE_SEED")
-        env_threads = _env_int("SDE_THREADS")
-        if args.seed is not None:
-            cfg.seed = check_seed("--seed", args.seed)
-        elif env_seed is not None:
-            cfg.seed = check_seed("SDE_SEED", env_seed)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    if args.threads is not None:
-        cfg.threads = max(1, args.threads)
-    elif env_threads is not None:
-        cfg.threads = max(1, env_threads)
-
-    try:
         return run_experiment(cfg, out_dir=args.out)
     except (SdeLabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = f"error: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+        message = f"error: out of memory: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+        message = f"i/o error: {exc}"
+    replay = f"replay: sde run {shlex.quote(args.config)} --seed {cfg.seed}"
+    print(message, replay, sep="\n", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ whose value is null counts as absent.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import difflib
 import math
@@ -25,9 +26,7 @@ from .models import MODEL_NAMES, ORACLE_MODELS, model_param_names, noise_problem
 from .solver import euler_steps
 from .streams import KEY_LIMIT
 
-__all__ = ["ExperimentConfig", "parse_config", "check_seed", "KINDS"]
-
-_NOISE_KEYS = {"wiener", "jump_rate", "mark_low", "mark_high", "quadrature_nodes"}
+__all__ = ["ExperimentConfig", "parse_config", "check_override", "KINDS"]
 
 
 @dataclass
@@ -126,6 +125,15 @@ def _choice(*allowed):
     return check
 
 
+def _prefixed(prefix, check, key, v) -> list:
+    """The problems `check` finds in one entry of a mapping, `prefix` before each."""
+    try:
+        check(key, v, {})
+    except ConfigError as exc:
+        return [prefix + problem for problem in exc.problems]
+    return []
+
+
 def _model_params(key, params, parsed):
     _mapping(key, params, parsed)
     model = parsed.get("model")
@@ -138,39 +146,34 @@ def _model_params(key, params, parsed):
             problems.append(
                 f"model '{model}' does not take parameter '{k}'{_suggest(k, allowed or {''})}"
             )
-        elif not _is_number(v):
-            problems.append(f"model parameter '{k}' must be a number, got {v!r}")
-        elif not _is_finite(v):
-            problems.append(f"model parameter '{k}' must {_FINITE[0]}, got {v!r}")
+        else:
+            problems += _prefixed("model parameter ", _number, k, v)
     if problems:
         raise ConfigError(problems)
     return params
 
 
+# An absent mark bound takes build_noise's default.
+_marks = _check((
+    "be a number or list of numbers",
+    lambda v: _is_finite(v) or isinstance(v, list) and v and all(map(_is_finite, v)),
+))
+# Each noise key's check, in the order problems are reported.
+_NOISE = {
+    "wiener": _check(("be an integer >= 0", lambda v: _is_int(v) and v >= 0), _FINITE),
+    "jump_rate": _check(("be a number >= 0", lambda v: _is_number(v) and not v < 0), _FINITE),
+    "mark_low": _marks,
+    "mark_high": _marks,
+    "quadrature_nodes": _check(("be an integer >= 1", lambda v: _is_int(v) and v >= 1), _FINITE),
+}
+
+
 def _noise(key, m, parsed):
     _mapping(key, m, parsed)
-    problems = [
-        f"unknown noise key '{k}'{_suggest(k, _NOISE_KEYS)}" for k in m if k not in _NOISE_KEYS
-    ]
-    wiener = m.get("wiener", 1)
-    if not _is_int(wiener) or wiener < 0:
-        problems.append(f"noise 'wiener' must be an integer >= 0, got {wiener!r}")
-    elif not _is_finite(wiener):
-        problems.append(f"noise 'wiener' must {_FINITE[0]}, got {wiener!r}")
-    rate = m.get("jump_rate", 0.0)
-    if not _is_number(rate) or rate < 0:
-        problems.append(f"noise 'jump_rate' must be a number >= 0, got {rate!r}")
-    elif not _is_finite(rate):
-        problems.append(f"noise 'jump_rate' must {_FINITE[0]}, got {rate!r}")
-    for bound in ("mark_low", "mark_high"):
-        v = m.get(bound, 0.0)  # absent is fine: build_noise has a default
-        if not (_is_finite(v) or isinstance(v, list) and v and all(map(_is_finite, v))):
-            problems.append(f"noise '{bound}' must be a number or list of numbers, got {v!r}")
-    nodes = m.get("quadrature_nodes", 64)
-    if not _is_int(nodes) or nodes < 1:
-        problems.append(f"noise 'quadrature_nodes' must be an integer >= 1, got {nodes!r}")
-    elif not _is_finite(nodes):
-        problems.append(f"noise 'quadrature_nodes' must {_FINITE[0]}, got {nodes!r}")
+    problems = [f"unknown noise key '{k}'{_suggest(k, _NOISE)}" for k in m if k not in _NOISE]
+    for k, check in _NOISE.items():
+        if k in m:
+            problems += _prefixed("noise ", check, k, m[k])
     if not problems and {"model", "model_params"} <= parsed.keys():
         # the model's parameters must agree with the noise it runs on
         problems = noise_problems(parsed["model"], parsed["model_params"], m)
@@ -293,9 +296,14 @@ _SCHEMAS = {
 KINDS = tuple(_SCHEMAS)
 
 
-def check_seed(source: str, value) -> int:
-    """A seed override (a flag or environment variable), checked like the config key."""
-    return _seed(source, value, {})
+def check_override(key: str, source: str, value) -> int:
+    """An override of `seed` or `threads` from `source` (a flag or an
+    environment variable), checked like the config key.  Text that spells an
+    integer counts as that integer."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    return next(row for row in _COMMON if row.key == key).check(source, value, {})
 
 
 def _read(row: _Row, data: dict, parsed: dict):

@@ -99,19 +99,18 @@ class MonotoneFunction:
         return float(self.fn(t))
 
 
-def _running_sup_clock_integral(
-    xs: np.ndarray, a_vals: np.ndarray
-) -> np.ndarray:
+def _running_sup_clock_integral(xs: np.ndarray, da: np.ndarray) -> np.ndarray:
     """int_0^{pts[j]} X*(u-) dA(u) by left-point Stieltjes sums on the union grid.
 
-    Exact for piecewise-constant X whose breakpoints are all in pts: on each
-    cell (pts[i], pts[i+1]] the integrand X*(u-) is constant and equals the
-    running sup through pts[i].
+    da holds the clock increments A(pts[i+1]) - A(pts[i]).  Exact for
+    piecewise-constant X whose breakpoints are all in pts: on each cell
+    (pts[i], pts[i+1]] the integrand X*(u-) is constant and equals the running
+    sup through pts[i].
     """
     xstar = np.maximum.accumulate(xs)
     out = np.empty_like(xs)
     out[0] = 0.0
-    np.cumsum(xstar[:-1] * np.diff(a_vals), out=out[1:])
+    np.cumsum(xstar[:-1] * da, out=out[1:])
     return out
 
 
@@ -120,7 +119,8 @@ class GronwallEnsemble:
     """Simulated (X, M, H) trajectories with a shared deterministic clock A.
 
     Construction validates the shape invariants (X >= 0, H non-decreasing
-    from H(0) >= 0, M starting at 0, A(0) = 0) and the assumption inequality
+    from H(0) >= 0, M starting at 0, A(0) = 0 and A non-decreasing on the
+    union of breakpoints) and the assumption inequality
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
     replication; failing ensembles are rejected outright.
 
@@ -165,8 +165,11 @@ class GronwallEnsemble:
             pts = np.union1d(np.union1d(x.breakpoints, m.breakpoints), h.breakpoints)
             pts = pts[(pts >= 0) & (pts <= self.horizon)]
             xs = sample(x, pts)
-            a_vals = np.array([self.clock(t) for t in pts])
-            integ = _running_sup_clock_integral(xs, a_vals)
+            da = np.diff(np.array([self.clock(t) for t in pts]))
+            if not np.all(da >= 0):
+                j = int(np.argmin(da >= 0)) + 1
+                raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
+            integ = _running_sup_clock_integral(xs, da)
             slack = integ + sample(m, pts) + sample(h, pts) - xs
             if np.any(slack < -_ASSUMPTION_TOL):
                 j = int(np.argmin(slack))

@@ -158,10 +158,8 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     T = float(grid[-1])
 
     dt = np.diff(grid)
-    if spec.wiener_count > 0:
-        dW = rng.standard_normal((dt.size, spec.wiener_count)) * np.sqrt(dt)[:, None]
-    else:
-        dW = np.zeros((dt.size, 0))
+    # A zero-width draw leaves the stream where it was.
+    dW = rng.standard_normal((dt.size, spec.wiener_count)) * np.sqrt(dt)[:, None]
 
     if spec.intensity is not None and spec.intensity_bound == 0.0:
         # lambda_bar == 0 is only consistent with lambda identically zero.
@@ -203,10 +201,18 @@ def _cells(spec, real) -> list:
     """Per cell: (s0, s1, Wiener increments, [(time, mark) of each event in (s0, s1]]).
 
     Times and increments are Python floats; one search over the grid splits the events.
+    The realization must come from a spec with the same Wiener count, and
+    from one with jumps if it holds events.
     """
+    wiener, count = real.wiener_increments.shape[1], real.event_times.size
+    if wiener != spec.wiener_count or count and not spec.has_jumps:
+        raise ValueError(
+            f"realization has {wiener} Wiener components and {count} events, but the spec has "
+            f"{spec.wiener_count} Wiener components and {'' if spec.has_jumps else 'no '}jumps"
+        )
     times = real.grid.tolist()
     cut = np.searchsorted(real.event_times, real.grid, side="right").tolist()
-    events = list(zip(real.event_times.tolist(), real.event_marks)) if spec.has_jumps else []
+    events = list(zip(real.event_times.tolist(), real.event_marks))
     return [
         (times[k], times[k + 1], dw, events[cut[k] : cut[k + 1]])
         for k, dw in enumerate(real.wiener_increments.tolist())

@@ -32,12 +32,11 @@ class CadlagPath:
 
     def __post_init__(self):
         bp = np.ascontiguousarray(np.asarray(self.breakpoints, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        vals = np.ascontiguousarray(vals)
+        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if bp.ndim != 1 or bp.size == 0:
             raise ValueError("breakpoints must be a non-empty 1-d sequence")
+        if vals.ndim != 2:
+            raise ValueError(f"values must be 2-d, one row per segment, got {vals.ndim}-d")
         if vals.shape[0] != bp.shape[0]:
             raise ValueError(
                 f"need one value per segment: {bp.shape[0]} breakpoints vs {vals.shape[0]} values"

@@ -75,6 +75,10 @@ class CoefficientModel:
 
 def euler_steps(n: int, T: float) -> int:
     """Cells of the grid 0, 1/n, ..., T.  Requires n*T to be (numerically) a whole number >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not T > 0:
+        raise ValueError("horizon T must be positive")
     cells = n * T
     steps = round(cells) if math.isfinite(cells) else 0
     if steps < 1 or abs(steps - cells) > 1e-9:
@@ -117,10 +121,6 @@ def euler_solve(
     realization.  Deterministic given the stream.  Raises ExplosionError if
     the state is not finite.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not T > 0:
-        raise ValueError("horizon T must be positive")
     grid = euler_grid(n, T)
     if realization is None:
         if stream_id is None:
@@ -166,8 +166,6 @@ def coarsen_noise(real: NoiseRealization, factor: int) -> NoiseRealization:
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return real
     ncells = real.grid.size - 1
     if ncells % factor != 0:
         raise ValueError(f"{ncells} cells cannot be grouped by {factor}")

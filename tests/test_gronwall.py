@@ -19,6 +19,9 @@ def constant_pairs(value: float, replications: int):
     return [p] * replications, [p] * replications
 
 
+ZERO = s.CadlagPath(np.array([0.0]), np.array([[0.0]]), 1.0)
+
+
 # E[sup_{[0,1]} |B|] (expected maximum of |Brownian motion|).
 SUP_ABS_BM_MEAN = math.sqrt(math.pi / 2.0)
 
@@ -181,6 +184,38 @@ class TestVerify:
         with pytest.raises(EnsembleError):
             s.GronwallEnsemble(
                 [neg], [zero], [flat], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5
+            )
+
+    def test_rejects_a_decreasing_clock(self):
+        # X = (1, 2, 0), M = 0, H = 1 and A = (0, 1, 0) at t = (0, 0.5, 1):
+        # the assumption inequality holds at every point only because A falls.
+        x = s.CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [2.0], [0.0]]), 1.0)
+        one = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 1.0)
+        tent = s.MonotoneFunction(lambda u: float(np.interp(u, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])))
+        with pytest.raises(EnsembleError, match="A must be non-decreasing, it falls at t=1$"):
+            s.GronwallEnsemble([x], [ZERO], [one], tent, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"p": 1.0}, r"p must lie in \(0,1\), got 1.0"),
+            ({"m": [ZERO, ZERO]}, "X, M, H ensembles must have equal size"),
+            ({"clock": lambda u: u + 1.0}, r"A\(0\) must be 0, got 1.0"),
+            ({"x": [s.CadlagPath(np.array([0.0]), np.array([[1.0, 1.0]]), 1.0)]}, "must be scalar"),
+            ({"h": [s.CadlagPath(np.array([-1.0]), np.array([[1.0]]), 1.0)]}, "must start at t=0"),
+            ({"h": [s.CadlagPath(np.array([0.0, 0.5]), np.array([[2.0], [1.0]]), 1.0)]},
+             r"H must be non-decreasing from H\(0\) >= 0"),
+            ({"m": [s.CadlagPath(np.array([0.0]), np.array([[0.5]]), 1.0)]}, r"M\(0\) must be 0"),
+        ],
+        ids=["p", "sizes", "clock-start", "non-scalar", "start", "h-decreasing", "m-start"],
+    )
+    def test_rejects_a_broken_shape_invariant(self, change, problem):
+        # X = H = 1, M = 0, A = 0 is valid; each change breaks one invariant.
+        one = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 1.0)
+        parts = {"x": [one], "m": [ZERO], "h": [one], "clock": lambda u: 0.0, "p": 0.5, **change}
+        with pytest.raises(EnsembleError, match=problem):
+            s.GronwallEnsemble(
+                parts["x"], parts["m"], parts["h"], s.MonotoneFunction(parts["clock"]), 1.0, parts["p"]
             )
 
 

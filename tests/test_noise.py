@@ -6,6 +6,7 @@ deterministic.
 """
 
 import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestSampling:
             s.sample_noise(s.MartingaleMeasureSpec(wiener_count=1), np.array([0.0, 0.5, 0.5]), (0, 0))
         with pytest.raises(ValueError):
             s.sample_noise(s.MartingaleMeasureSpec(wiener_count=1), np.array([0.5, 1.0]), (0, 0))
+
+    @pytest.mark.parametrize(
+        "use, problem",
+        [
+            (lambda: jump_spec(rate=-1.0, bound=1.0).rate(0.5), r"lambda\(0.5\) = -1.0 < 0"),
+            (lambda: jump_spec(rate=2.0, bound=1.0).rate(0.5), "exceeds the bound 1.0"),
+            (lambda: jump_spec(rate=1.0, bound=math.inf), "intensity_bound must be finite and >= 0"),
+            (lambda: jump_spec(rate=1.0, bound=-1.0), "intensity_bound must be finite and >= 0"),
+        ],
+        ids=["negative-rate", "rate-over-bound", "infinite-bound", "negative-bound"],
+    )
+    def test_intensity_rejections(self, use, problem):
+        with pytest.raises(NoiseSpecError, match=problem):
+            use()
 
 
 class TestIntegrate:

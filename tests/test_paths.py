@@ -109,6 +109,8 @@ def test_construction_invariants():
         CadlagPath(np.array([0.0, 1.0]), np.array([[1.0]]), 1.0)
     with pytest.raises(ValueError):
         CadlagPath(np.array([0.0]), np.array([[1.0]]), -1.0)
+    with pytest.raises(ValueError, match="values must be 2-d"):
+        CadlagPath(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1.0)
 
 
 def test_paths_are_immutable():

@@ -252,6 +252,42 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: '{source}' {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, value, problem",
+        [
+            ("--threads", "-5", "must be >= 1, got -5"),
+            ("SDE_THREADS", "0", "must be >= 1, got 0"),
+            ("--seed", "abc", "must be an integer, got 'abc'"),
+            ("SDE_SEED", "abc", "must be an integer, got 'abc'"),
+            ("--threads", "1.5", "must be an integer, got '1.5'"),
+            ("SDE_THREADS", "1.5", "must be an integer, got '1.5'"),
+        ],
+    )
+    def test_override_takes_the_config_check(self, source, value, problem, tmp_path, monkeypatch, capsys):
+        # Thread counts used to be clamped to 1 and run; a flag that is not
+        # an integer was an argparse usage error with exit code 2, the code
+        # of a detected violation.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 5\n")
+        out = tmp_path / "o"
+        args = ["run", str(cfg), "--out", str(out)]
+        if source.startswith("--"):
+            args += [source, value]
+        else:
+            monkeypatch.setenv(source, value)
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == f"config error: '{source}' {problem}\n"
+        assert not out.exists()
+
+    def test_seed_flag_wins_over_a_bad_environment_seed(self, tmp_path, monkeypatch):
+        # The environment is read only when the flag is absent.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 5\n")
+        monkeypatch.setenv("SDE_SEED", "abc")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        assert read_report(out)["seed"] == 3
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["run", "/does/not/exist.yaml"]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -271,3 +307,10 @@ class TestCli:
         assert cli_main(["validate", str(cfg)]) == 0
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+    def test_failed_run_ends_with_a_replay_line(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 1\nT: 1.0e+15\nreplications: 1\nseed: 5\n")
+        monkeypatch.setenv("SDE_SEED", "9")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(f"\nreplay: sde run {cfg} --seed 9\n")

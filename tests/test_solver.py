@@ -367,3 +367,22 @@ def test_event_on_a_grid_point_folds_into_one_entry():
     assert m.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
     assert m.values[:, 0].tolist() == [0.0, 0.625, 0.25, 1.1, 0.875, 0.5]
     assert m.jump_times == (0.25, 0.6, 1.0)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda real: s.euler_solve(gbm(), build_noise(wiener=1), 8, 1.0, realization=real),
+        lambda real: s.integrate(lambda t, mark: np.array([1.0]), build_noise(wiener=1), real),
+        lambda real: s.euler_solve(gbm(), build_noise(wiener=3, jump_rate=3.0), 8, 1.0, realization=real),
+    ],
+    ids=["solve-with-fewer-components-and-no-jumps", "integrate-with-fewer-components-and-no-jumps",
+         "solve-with-more-components"],
+)
+def test_realization_from_another_noise_spec_rejected(use):
+    # Reading the realization through the spec used to drop its second Wiener
+    # column and both events, or index past its last column.
+    real = s.sample_noise(build_noise(wiener=2, jump_rate=3.0), s.euler_grid(8, 1.0), (2, 0))
+    assert real.event_times.size == 2
+    with pytest.raises(ValueError, match="realization has 2 Wiener components and 2 events"):
+        use(real)
