@@ -6,10 +6,10 @@
 Seed and thread count can also come from SDE_SEED / SDE_THREADS; precedence
 is flag > environment > config file, and an environment variable is read only
 when its flag is absent.  Either override, as text, takes the config key's
-check, so a value that is not an integer is a config error too.  The
-thread count has no effect: replications run serially in one process, and
-results never depend on it.  A run that fails after its config loaded ends
-stderr with the command that replays it.
+check, so a value that is not an integer is a config error too, for
+`validate` as for `run`.  The thread count has no effect: replications run
+serially in one process, and results never depend on it.  A run that fails
+after its config loaded ends stderr with the command that replays it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args.config)
-        for key in ("seed", "threads") if args.command == "run" else ():
-            flag, env = getattr(args, key), f"SDE_{key.upper()}"
+        for key in ("seed", "threads"):
+            flag, env = getattr(args, key, None), f"SDE_{key.upper()}"
             if flag is not None:
                 setattr(cfg, key, check_override(key, f"--{key}", flag))
             elif env in os.environ:

@@ -34,7 +34,16 @@ __all__ = [
     "random_path_sampler",
 ]
 
-CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
+# Each condition: the model's rate envelope (None for C3 and C5), whether the
+# rate takes the radius R as well as t, and the report label.
+_TABLE = {
+    "C1": ("lipschitz_rate", True, "local monotonicity envelope L_R(t) = model.lipschitz_rate"),
+    "C2": ("growth_rate", False, "coercivity envelope K(t) = model.growth_rate"),
+    "C3": (None, False, "none (modulus-of-continuity probing)"),
+    "C4": ("bound_rate", True, "magnitude envelope K~_R(t) = model.bound_rate"),
+    "C5": (None, False, "none (finite second moment of the initial segment)"),
+}
+CONDITIONS = tuple(_TABLE)
 
 # Shrink factors used when probing continuity of f in the path argument.
 _C3_SCALES = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
@@ -129,23 +138,12 @@ def _squared_mark_integral(model, spec, t, x, y=None) -> float:
         diff = gx - gy
         return float(diff @ diff)
 
-    total = 0.0
-    for i in range(spec.wiener_count):
-        total += sq(i)
+    total = sum(map(sq, range(spec.wiener_count)), 0.0)
     if spec.has_jumps:
         lam = spec.rate(t)
         if lam > 0:
-            nodes = spec.compensator_nodes
-            acc = 0.0
-            for node in nodes:
-                acc += sq(node)
-            total += lam * acc / nodes.shape[0]
+            total += lam * spec.node_sum(sq) / len(spec.compensator_nodes)
     return total
-
-
-# Rate envelope of each rate condition: the model attribute, and whether it
-# takes the radius R as well as t.
-_RATES = {"C1": ("lipschitz_rate", True), "C2": ("growth_rate", False), "C4": ("bound_rate", True)}
 
 
 def evaluate_condition(
@@ -159,27 +157,24 @@ def evaluate_condition(
 ) -> tuple[float, float]:
     """One (lhs, rhs) evaluation of C1, C2 or C4 at a witness, rhs = rate *
     sup-norm factor; deterministic, so recorded violations replay bit-identically."""
-    if condition not in _RATES:
+    attr, takes_radius, _ = _TABLE.get(condition, (None, False, ""))
+    if attr is None:
         raise ValueError(f"evaluate_condition does not handle {condition!r}")
     if condition == "C1" and y is None:
         raise ValueError("C1 needs a path pair")
-    attr, takes_radius = _RATES[condition]
     rate = getattr(model, attr)
     if rate is None:
         raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
+    f = np.atleast_1d(model.drift(t, x))
+    marks = _squared_mark_integral(model, spec, t, x, y if condition == "C1" else None)
     if condition == "C1":
         dx = x.left_limit(t) - y.left_limit(t)
-        df = np.atleast_1d(model.drift(t, x)) - np.atleast_1d(model.drift(t, y))
-        lhs = 2.0 * float(dx @ df) + _squared_mark_integral(model, spec, t, x, y)
+        lhs = 2.0 * float(dx @ (f - np.atleast_1d(model.drift(t, y)))) + marks
         factor = sup_distance(x, y, x.start, t) ** 2
     elif condition == "C2":
-        xl = x.left_limit(t)
-        f = np.atleast_1d(model.drift(t, x))
-        lhs = 2.0 * float(xl @ f) + _squared_mark_integral(model, spec, t, x)
-        factor = 1.0 + x.window_sup(x.start, t) ** 2
+        lhs, factor = 2.0 * float(x.left_limit(t) @ f) + marks, 1.0 + x.window_sup(x.start, t) ** 2
     else:
-        f = np.atleast_1d(model.drift(t, x))
-        lhs, factor = float(np.sqrt(f @ f)) + _squared_mark_integral(model, spec, t, x), 1.0
+        lhs, factor = float(np.sqrt(f @ f)) + marks, 1.0
     return lhs, float(rate(t, radius) if takes_radius else rate(t)) * factor
 
 
@@ -219,14 +214,7 @@ def check_condition(
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
-    rates = {
-        "C1": "local monotonicity envelope L_R(t) = model.lipschitz_rate",
-        "C2": "coercivity envelope K(t) = model.growth_rate",
-        "C4": "magnitude envelope K~_R(t) = model.bound_rate",
-        "C3": "none (modulus-of-continuity probing)",
-        "C5": "none (finite second moment of the initial segment)",
-    }
-    label = f"{model.name or 'model'}: {rates[condition]}"
+    label = f"{model.name or 'model'}: {_TABLE[condition][2]}"
     report = ConditionReport(condition, samples, rate_functions_used=label)
 
     if condition == "C5":

@@ -140,15 +140,10 @@ class GronwallEnsemble:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise EnsembleError(f"p must lie in (0,1), got {self.p}")
-        if not (len(self.x_paths) == len(self.m_paths) == len(self.h_paths)):
-            raise EnsembleError("X, M, H ensembles must have equal size")
+        if not len(self.x_paths) == len(self.m_paths) == len(self.h_paths) > 0:
+            raise EnsembleError("X, M, H ensembles must have equal size, at least 1 replication")
         if abs(self.clock(0.0)) > 1e-12:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
-
-        def sample(path, pts):
-            if path.breakpoints.size == pts.size and np.array_equal(path.breakpoints, pts):
-                return path.values[:, 0]
-            return np.array([float(path.value_at(t)[0]) for t in pts])
 
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
             if x.dimension != 1 or m.dimension != 1 or h.dimension != 1:
@@ -164,13 +159,13 @@ class GronwallEnsemble:
                 raise EnsembleError(f"replication {r}: M(0) must be 0")
             pts = np.union1d(np.union1d(x.breakpoints, m.breakpoints), h.breakpoints)
             pts = pts[(pts >= 0) & (pts <= self.horizon)]
-            xs = sample(x, pts)
+            xs = x.values_at(pts)[:, 0]
             da = np.diff(np.array([self.clock(t) for t in pts]))
             if not np.all(da >= 0):
                 j = int(np.argmin(da >= 0)) + 1
                 raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
             integ = _running_sup_clock_integral(xs, da)
-            slack = integ + sample(m, pts) + sample(h, pts) - xs
+            slack = integ + m.values_at(pts)[:, 0] + h.values_at(pts)[:, 0] - xs
             if np.any(slack < -_ASSUMPTION_TOL):
                 j = int(np.argmin(slack))
                 raise EnsembleError(
@@ -262,9 +257,11 @@ class LenglartReport:
 
 
 def _mean_stderr(samples) -> tuple[float, float]:
-    """Sample mean and its standard error (0.0 for fewer than two samples)."""
+    """Sample mean and its standard error (0.0 for a single sample)."""
     a = np.asarray(samples)
     n = a.size
+    if n == 0:
+        raise ValueError("an estimate needs at least 1 sample")
     return float(a.mean()), (float(a.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0)
 
 

@@ -67,11 +67,13 @@ def uniform_marks(low, high) -> Callable:
 class MartingaleMeasureSpec:
     """Description of the driving noise: Wiener count plus compensated Poisson part.
 
-    intensity is lambda(t) >= 0 (locally integrable on the horizon);
-    intensity_bound is a finite dominating constant for thinning.  mark_sampler
-    draws i.i.d. marks from mu; mu being a probability measure is the
-    sampler's contract.  A sampler may return a 1-d array of scalar marks;
-    coefficients still see each mark as a 1-d row.
+    intensity is lambda(t) >= 0 (locally integrable on the horizon), None for
+    no jumps; intensity_bound is a finite dominating constant for thinning,
+    positive when an intensity is given.  mark_sampler draws i.i.d. marks
+    from mu; mu being a probability measure is the sampler's contract.  A
+    sampler may return a 1-d array of scalar marks; coefficients still see
+    each mark as a 1-d row.  quadrature_nodes (>= 1) frozen marks serve every
+    node quadrature over mu.
     """
 
     wiener_count: int = 0
@@ -85,8 +87,12 @@ class MartingaleMeasureSpec:
             raise NoiseSpecError("wiener_count must be >= 0")
         if self.intensity_bound < 0 or not np.isfinite(self.intensity_bound):
             raise NoiseSpecError("intensity_bound must be finite and >= 0")
-        if self.intensity is not None and self.mark_sampler is None and self.intensity_bound > 0:
+        if self.intensity is not None and self.intensity_bound == 0:
+            raise NoiseSpecError("jump intensity given with intensity_bound 0; leave the intensity out")
+        if self.intensity is not None and self.mark_sampler is None:
             raise NoiseSpecError("jump intensity given but no mark sampler to draw from")
+        if self.quadrature_nodes < 1:
+            raise NoiseSpecError(f"quadrature_nodes must be >= 1, got {self.quadrature_nodes}")
 
     def rate(self, t: float) -> float:
         if self.intensity is None:
@@ -102,7 +108,7 @@ class MartingaleMeasureSpec:
 
     @property
     def has_jumps(self) -> bool:
-        return self.intensity is not None and self.intensity_bound > 0
+        return self.intensity is not None
 
     @cached_property
     def compensator_nodes(self) -> np.ndarray:
@@ -114,6 +120,11 @@ class MartingaleMeasureSpec:
         if self.mark_sampler is None:
             raise NoiseSpecError("mark distribution is not samplable; supply a closed-form compensator")
         return _mark_rows(self.mark_sampler(stream(_NODE_SEED, QUADRATURE_STREAM), self.quadrature_nodes))
+
+    def node_sum(self, fn):
+        """fn(node) summed over the compensator nodes, added in node order."""
+        nodes = self.compensator_nodes
+        return sum(map(fn, nodes[1:]), fn(nodes[0]))
 
 
 def _mark_rows(marks) -> np.ndarray:
@@ -161,12 +172,6 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     # A zero-width draw leaves the stream where it was.
     dW = rng.standard_normal((dt.size, spec.wiener_count)) * np.sqrt(dt)[:, None]
 
-    if spec.intensity is not None and spec.intensity_bound == 0.0:
-        # lambda_bar == 0 is only consistent with lambda identically zero.
-        probes = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2])
-        if any(float(spec.intensity(t)) > 0 for t in probes):
-            raise NoiseSpecError("intensity_bound is 0 but the intensity is not identically zero")
-
     if spec.has_jumps:
         lam_bar = spec.intensity_bound
         count = int(rng.poisson(lam_bar * T))
@@ -186,15 +191,6 @@ def _vec(v) -> np.ndarray:
     """np.atleast_1d(np.asarray(v, dtype=float)) without the dispatch of atleast_1d."""
     a = np.asarray(v, dtype=float)
     return a if a.ndim else a.reshape(1)
-
-
-def _mark_average(g, h, spec: MartingaleMeasureSpec, t: float) -> np.ndarray:
-    """int g(t, h, xi) mu(dxi) by fixed-node Monte Carlo quadrature."""
-    nodes = spec.compensator_nodes
-    acc = _vec(g(t, h, nodes[0])).copy()
-    for k in range(1, nodes.shape[0]):
-        acc += _vec(g(t, h, nodes[k]))
-    return acc / nodes.shape[0]
 
 
 def _cells(spec, real) -> list:
@@ -239,7 +235,8 @@ def _cell_entries(g, compensator, h, spec, s0, s1, dw, events):
         delta = acc
     entries = []
     if spec.has_jumps:
-        comp = compensator or (lambda t, h: _mark_average(g, h, spec, t))
+        comp = compensator or (
+            lambda t, h: spec.node_sum(lambda xi: _vec(g(t, h, xi))) / len(spec.compensator_nodes))
         u = s0
         for te, mark in events:
             piece = -spec.rate(u) * _vec(comp(u, h)) * (te - u)
@@ -312,8 +309,8 @@ def empirical_covariation(
     Both ensembles must come from the same noise realizations, paired by
     index.
     """
-    if len(paths_a) != len(paths_b):
-        raise ValueError(f"paired ensembles differ in size: {len(paths_a)} vs {len(paths_b)}")
+    if not len(paths_a) == len(paths_b) > 0:
+        raise ValueError(f"paired ensembles need equal sizes >= 1, got {len(paths_a)} and {len(paths_b)}")
     prods = np.array(
         [float(pa.value_at(pa.end) @ pb.value_at(pb.end)) for pa, pb in zip(paths_a, paths_b)]
     )

@@ -33,6 +33,7 @@ from .gronwall import (
     verify_gronwall,
 )
 from .models import build_model, build_noise, exact_terminal
+from .paths import path_csv_lines
 from .solver import euler_solve, strong_convergence
 from .streams import stream
 
@@ -60,14 +61,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
         euler_solve(model, spec, o["n"], o["T"], stream(cfg.seed, r), replication=r)
         for r in range(reps)
     ]
-    # _write_csv's row format (index, then repr floats); tolist() reads a whole path per call
     with open(out / "trajectories.csv", "w") as fh:
         fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
         for r, p in enumerate(paths):
-            fh.writelines(
-                f"{r},{t!r},{','.join(map(repr, row))}\n"
-                for t, row in zip(p.breakpoints.tolist(), p.values.tolist())
-            )
+            fh.writelines(path_csv_lines(p, f"{r},"))
     if paths:
         terminal = np.array([p.value_at(p.end) for p in paths])
         stats = {

@@ -211,6 +211,8 @@ def resolution_gap(
     """
     if m % n != 0:
         raise ValueError(f"m={m} is not a multiple of n={n}")
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
     factor = m // n
     hits = 0
     for r in range(replications):
@@ -254,6 +256,8 @@ def strong_convergence(
     finest = ns[-1]
     if any(finest % v for v in ns):
         raise ValueError("every resolution must divide the finest one")
+    if replications < 2:
+        raise ValueError(f"need at least 2 replications for a standard error, got {replications}")
     errs = np.zeros((len(ns), replications))
     for r in range(replications):
         fine = sample_noise(spec, euler_grid(finest, T), stream(seed, r))

@@ -8,6 +8,8 @@ any single replication can be replayed in isolation.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["stream", "as_generator", "KEY_LIMIT", "QUADRATURE_STREAM"]
@@ -25,8 +27,10 @@ def stream(seed: int, index: int) -> np.random.Generator:
 
     Philox is counter-based: distinct (seed, index) keys give statistically
     independent streams with no sequential dependence between them.  Raises
-    ValueError for a key outside [0, 2**64), which would alias another key.
+    TypeError for a key word that is not an integer (operator.index) and
+    ValueError for one outside [0, 2**64): either would alias another key.
     """
+    seed, index = operator.index(seed), operator.index(index)
     if not (0 <= seed < KEY_LIMIT and 0 <= index < KEY_LIMIT):
         raise ValueError(f"stream key ({seed}, {index}) must lie in [0, 2**64)")
     key = np.array([seed, index], dtype=np.uint64)
@@ -38,5 +42,5 @@ def as_generator(stream_id) -> np.random.Generator:
     if isinstance(stream_id, np.random.Generator):
         return stream_id
     if isinstance(stream_id, (tuple, list)) and len(stream_id) == 2:
-        return stream(int(stream_id[0]), int(stream_id[1]))
+        return stream(*stream_id)
     raise TypeError(f"expected Generator or (seed, index) pair, got {stream_id!r}")

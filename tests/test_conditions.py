@@ -128,3 +128,19 @@ def test_witness_csv_dump(tmp_path):
     assert files
     header = files[0].read_text().splitlines()[0]
     assert header == "t,x_1"
+
+
+@pytest.mark.parametrize(
+    "condition, problem",
+    [
+        ("C3", "evaluate_condition does not handle 'C3'"),
+        ("C5", "evaluate_condition does not handle 'C5'"),
+        ("C9", "evaluate_condition does not handle 'C9'"),
+        ("C1", "C1 needs a path pair"),
+    ],
+    ids=["C3", "C5", "unknown", "C1-without-pair"],
+)
+def test_evaluate_condition_rejections(condition, problem):
+    x = constant_path(0.5, -1.0, 1.0)
+    with pytest.raises(ValueError, match=problem):
+        s.evaluate_condition(linear(sigma=0.5), ONE_WIENER, condition, 0.5, x)

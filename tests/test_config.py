@@ -550,3 +550,17 @@ n: 3
 def test_multi_error_problem_list(kind):
     text, expected = MULTI_ERROR[kind]
     assert problems_of(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("", "empty configuration"),
+        ("# only a comment\n", "empty configuration"),
+        ("model: gbm\nseed: 1\n", "missing required key 'kind'"),
+        ("kind:\nseed: 1\n", "missing required key 'kind'"),
+    ],
+    ids=["empty", "comment-only", "no-kind", "null-kind"],
+)
+def test_document_level_rejections(text, problem):
+    assert problems_of(text) == [problem]

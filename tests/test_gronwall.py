@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sdelab as s
-from sdelab.errors import EnsembleError
+from sdelab.errors import EnsembleError, PathDomainError
 from sdelab.gronwall import _CHUNK
 from sdelab.streams import stream
 
@@ -186,6 +186,14 @@ class TestVerify:
                 [neg], [zero], [flat], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5
             )
 
+    def test_rejects_a_path_that_ends_before_the_last_point(self):
+        # H's breakpoint at 0.8 lies past the end of X: the union-grid lookup
+        # raises like value_at would.
+        x = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 0.5)
+        h = s.CadlagPath(np.array([0.0, 0.8]), np.array([[1.0], [2.0]]), 1.0)
+        with pytest.raises(PathDomainError, match=r"t=0.8 outside path domain \[0.0, 0.5\]"):
+            s.GronwallEnsemble([x], [ZERO], [h], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5)
+
     def test_rejects_a_decreasing_clock(self):
         # X = (1, 2, 0), M = 0, H = 1 and A = (0, 1, 0) at t = (0, 0.5, 1):
         # the assumption inequality holds at every point only because A falls.
@@ -206,8 +214,9 @@ class TestVerify:
             ({"h": [s.CadlagPath(np.array([0.0, 0.5]), np.array([[2.0], [1.0]]), 1.0)]},
              r"H must be non-decreasing from H\(0\) >= 0"),
             ({"m": [s.CadlagPath(np.array([0.0]), np.array([[0.5]]), 1.0)]}, r"M\(0\) must be 0"),
+            ({"x": [], "m": [], "h": []}, "at least 1 replication"),
         ],
-        ids=["p", "sizes", "clock-start", "non-scalar", "start", "h-decreasing", "m-start"],
+        ids=["p", "sizes", "clock-start", "non-scalar", "start", "h-decreasing", "m-start", "empty"],
     )
     def test_rejects_a_broken_shape_invariant(self, change, problem):
         # X = H = 1, M = 0, A = 0 is valid; each change breaks one invariant.
@@ -373,3 +382,33 @@ class TestCounterexampleStats:
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             s.counterexample_stats(1.2, 0.5, 0.5, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "use, problem",
+    [
+        (lambda: s.lenglart_moment([], [], 0.5), "at least 1 sample"),
+        (lambda: s.lenglart_tail([], [], 1.0, 1.0), "at least 1 sample"),
+        (lambda: s.counterexample_stats(0.5, 0.5, 0.5, 0, 0), "at least 1 sample"),
+        (lambda: s.verify_gronwall(s.gbm_squared_ensemble(0, 0.5, 0), "c"), "at least 1 replication"),
+        (lambda: s.counterexample_ensemble(0.5, 0.5, 0.5, 0, 0), "at least 1 replication"),
+    ],
+    ids=["lenglart-moment", "lenglart-tail", "counterexample-stats", "gbm-squared", "counterexample-ensemble"],
+)
+def test_estimates_need_a_sample(use, problem):
+    # Each used to return NaN ("Mean of empty slice").
+    with pytest.raises(ValueError, match=problem):
+        use()
+
+
+@pytest.mark.parametrize(
+    "use, problem",
+    [
+        (lambda: s.verify_gronwall(constant_ensemble(1.0, 0.5), "d"), "unknown variant 'd'"),
+        (lambda: s.gbm_squared_ensemble(2, 0.5, 0, n=0), "n must be >= 1"),
+    ],
+    ids=["variant", "grid"],
+)
+def test_gronwall_rejections(use, problem):
+    with pytest.raises(ValueError, match=problem):
+        use()

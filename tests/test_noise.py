@@ -14,6 +14,8 @@ import pytest
 
 import sdelab as s
 from sdelab.errors import NoiseSpecError
+from sdelab.models import gbm
+from sdelab.streams import as_generator
 
 GRID = np.linspace(0.0, 1.0, 5)
 
@@ -124,6 +126,23 @@ class TestSampling:
             s.sample_noise(s.MartingaleMeasureSpec(wiener_count=1), np.array([0.0, 0.5, 0.5]), (0, 0))
         with pytest.raises(ValueError):
             s.sample_noise(s.MartingaleMeasureSpec(wiener_count=1), np.array([0.5, 1.0]), (0, 0))
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"quadrature_nodes": 0}, "quadrature_nodes must be >= 1, got 0"),
+            ({"intensity": lambda t: 0.0, "intensity_bound": 0.0}, "intensity_bound 0"),
+        ],
+        ids=["no-nodes", "zero-bound"],
+    )
+    def test_spec_refuses_at_construction(self, change, problem):
+        # Both were accepted: with no nodes a jump solve died with an
+        # IndexError and C2 with a ZeroDivisionError; a zero bound was checked
+        # only by probing the intensity on every sample_noise call.
+        spec = dict(wiener_count=1, intensity=lambda t: 2.0, intensity_bound=2.0,
+                    mark_sampler=s.uniform_marks(0.0, 1.0))
+        with pytest.raises(NoiseSpecError, match=problem):
+            s.MartingaleMeasureSpec(**(spec | change))
 
     @pytest.mark.parametrize(
         "use, problem",
@@ -268,3 +287,33 @@ class TestCovariation:
         p = s.integrate(lambda t, m: np.array([1.0]), spec, real)
         with pytest.raises(ValueError):
             s.empirical_covariation([p, p], [p])
+
+    def test_needs_one_pair(self):
+        # An empty pair of ensembles gave a NaN mean with a RuntimeWarning.
+        with pytest.raises(ValueError, match="equal sizes >= 1, got 0 and 0"):
+            s.empirical_covariation([], [])
+
+
+@pytest.mark.parametrize(
+    "use, error, problem",
+    [
+        (lambda: s.MartingaleMeasureSpec(wiener_count=1).compensator_nodes, NoiseSpecError,
+         "mark distribution is not samplable"),
+        (lambda: as_generator(7), TypeError, r"expected Generator or \(seed, index\) pair, got 7"),
+        (lambda: as_generator((2.9, 0)), TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: as_generator(("3", 0)), TypeError, "'str' object cannot be interpreted as an integer"),
+        (lambda: s.stream(0, 2**64), ValueError, r"must lie in \[0, 2\*\*64\)"),
+    ],
+    ids=["nodes-without-sampler", "bare-int", "float-key", "string-key", "key-range"],
+)
+def test_noise_and_stream_rejections(use, error, problem):
+    # A float key word was truncated by int(), so (2.9, 0) replayed seed 2,
+    # and the string "3" ran as seed 3.
+    with pytest.raises(error, match=problem):
+        use()
+
+
+def test_a_float_stream_key_does_not_replay_another_seed():
+    with pytest.raises(TypeError):
+        s.euler_solve(gbm(), s.MartingaleMeasureSpec(wiener_count=1), 4, 1.0, (2.9, 0))
+    assert s.stream(np.int64(3), np.uint64(0)).random() == s.stream(3, 0).random()

@@ -1,12 +1,14 @@
 """Cadlag path queries: exact examples plus randomized invariants."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdelab import CadlagPath, PathBuilder, constant_path, sup_distance, write_path_csv
+from sdelab.paths import path_csv_lines
 from sdelab.errors import PathDomainError
 
 
@@ -135,6 +137,60 @@ def test_csv_dump():
     assert len(lines) == 3
 
 
+def test_csv_lines_put_the_lead_before_each_row():
+    # The one row format of witness CSVs and trajectories.csv: repr floats.
+    p = CadlagPath(np.array([0.0, 0.1]), np.array([[1 / 3, -0.0], [1e-300, 2.5]]), 1.0)
+    assert list(path_csv_lines(p, "7,")) == [
+        "7,0.0,0.3333333333333333,-0.0\n", "7,0.1,1e-300,2.5\n"
+    ]
+    buf = io.StringIO()
+    write_path_csv(p, buf)
+    assert buf.getvalue() == "t,x_1,x_2\n" + "".join(path_csv_lines(p))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda p: p.value_at(math.nan),
+        lambda p: p.left_limit(math.nan),
+        lambda p: p.window_sup(math.nan, 0.5),
+        lambda p: p.window_sup(0.0, math.nan),
+    ],
+    ids=["value_at", "left_limit", "window_sup-a", "window_sup-b"],
+)
+def test_nan_time_is_outside_the_domain(query):
+    # searchsorted puts NaN after every breakpoint, so each query used to
+    # read the last segment and return 1.0.
+    with pytest.raises(PathDomainError, match="t=nan outside path domain"):
+        query(constant_path(1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (lambda: CadlagPath(np.empty(0), np.empty((0, 1)), 1.0), "non-empty 1-d"),
+        (lambda: CadlagPath(np.array([0.0, math.inf]), np.ones((2, 1)), math.inf), "must be finite"),
+        (lambda: two_step().window_sup(-0.5, 1.0), r"t=-0.5 outside path domain \[0.0, 2.0\]"),
+        (lambda: two_step().window_sup(0.0, 2.5), r"t=2.5 outside path domain \[0.0, 2.0\]"),
+        (lambda: two_step().window_sup(1.5, 0.5), "empty window: a=1.5 > b=0.5"),
+        (lambda: two_step().values_at(np.array([0.0, 2.5])), "t=2.5 outside path domain"),
+        (lambda: two_step().values_at(np.array([math.nan, 1.0])), "t=nan outside path domain"),
+        (lambda: PathBuilder(two_step(), 1.0, 1), "builder end must extend the seed path"),
+        (lambda: PathBuilder(two_step(), 3.0, 1).append(1.0, np.ones(1)), r"strictly increase in time \(1.0\)"),
+        (lambda: sup_distance(two_step(), two_step(), 1.0, 0.0), "empty window: a=1.0 > b=0.0"),
+        (lambda: sup_distance(two_step(), two_step(), math.nan, 1.0), "t=nan outside path domain"),
+    ],
+    ids=[
+        "empty", "infinite", "window-before-start", "window-after-end", "window-empty",
+        "values_at-after-end", "values_at-nan", "builder-end", "builder-order",
+        "sup_distance-empty", "sup_distance-nan",
+    ],
+)
+def test_rejection_branches(make, problem):
+    with pytest.raises(ValueError, match=problem):
+        make()
+
+
 # --- randomized invariants ------------------------------------------------
 
 @st.composite
@@ -191,3 +247,41 @@ def test_left_limit_matches_value_off_breakpoints(case):
     if t <= p.start or t in p.breakpoints:
         return
     assert p.left_limit(t)[0] == p.value_at(t)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_and_times())
+def test_values_at_matches_value_at(case):
+    p, t, s = case
+    ts = np.array(sorted({p.start, t, s, p.end}))
+    assert np.array_equal(p.values_at(ts), np.array([p.value_at(u) for u in ts]))
+
+
+@st.composite
+def path_pairs(draw):
+    d = draw(st.integers(1, 5))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+    def one():
+        times = draw(st.lists(st.floats(0.0, 2.0), min_size=0, max_size=5, unique=True))
+        bp = np.unique(np.concatenate([[0.0], times]))
+        vals = draw(st.lists(finite, min_size=bp.size * d, max_size=bp.size * d))
+        return CadlagPath(bp, np.reshape(vals, (bp.size, d)), 2.0)
+
+    a, b = sorted(draw(st.floats(0.0, 2.0)) for _ in range(2))
+    return one(), one(), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_pairs())
+def test_sup_distance_is_the_pointwise_max_bit_for_bit(case):
+    # The reference is the per-point loop sup_distance replaced: the same
+    # points, each row norm from diff @ diff, the largest root kept.
+    p, q, a, b = case
+    pts = np.union1d(p.breakpoints, q.breakpoints)
+    pts = np.concatenate(([a], pts[(pts > a) & (pts <= b)], [b]))
+    best = 0.0
+    for t in pts:
+        diff = p.value_at(t) - q.value_at(t)
+        best = max(best, float(np.sqrt(diff @ diff)))
+    assert sup_distance(p, q, a, b) == best

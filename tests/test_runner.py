@@ -314,3 +314,44 @@ class TestCli:
         monkeypatch.setenv("SDE_SEED", "9")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.endswith(f"\nreplay: sde run {cfg} --seed 9\n")
+
+    def test_validate_applies_the_environment_overrides(self, tmp_path, monkeypatch, capsys):
+        # validate used to skip the overrides and print OK for what run refuses.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 0\nseed: 5\n")
+        monkeypatch.setenv("SDE_SEED", "abc")
+        monkeypatch.setenv("SDE_THREADS", "0")
+        assert cli_main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: 'SDE_SEED' must be an integer, got 'abc'\n"
+        )
+        monkeypatch.setenv("SDE_SEED", "7")
+        assert cli_main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: 'SDE_THREADS' must be >= 1, got 0\n"
+        monkeypatch.setenv("SDE_THREADS", "2")
+        assert cli_main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr().out == "OK: simulate experiment, seed 7\n"
+
+    @pytest.mark.parametrize(
+        "text, out_is_a_file, first_line",
+        [
+            (
+                "kind: verify-gronwall\nensemble: counterexample\nvariant: b\n"
+                "p: 0.5\nq: 0.5\nalpha: 0.5\nreplications: 10\nseed: 3\n",
+                False,
+                "error: variant 'b' needs M without negative jumps; replication 0 has one",
+            ),
+            ("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 3\n", True, "i/o error: "),
+        ],
+        ids=["error", "io-error"],
+    )
+    def test_failure_lines(self, text, out_is_a_file, first_line, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        if out_is_a_file:
+            out.write_text("in the way\n")
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(first_line)
+        assert err.endswith(f"\nreplay: sde run {cfg} --seed 3\n")

@@ -11,6 +11,7 @@ import sdelab as s
 from sdelab.errors import ExplosionError, ModelError
 from sdelab.models import (
     additive_jumps,
+    build_model,
     build_noise,
     delay_ode,
     gbm,
@@ -386,3 +387,71 @@ def test_realization_from_another_noise_spec_rejected(use):
     assert real.event_times.size == 2
     with pytest.raises(ValueError, match="realization has 2 Wiener components and 2 events"):
         use(real)
+
+
+ORACLE = gbm_exact_terminal(0.05, 0.2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "use, problem",
+    [
+        (lambda: s.strong_convergence(gbm(), ONE_WIENER, [2, 4], 1.0, 1, 0, ORACLE),
+         "at least 2 replications for a standard error, got 1"),
+        (lambda: s.resolution_gap(gbm(), ONE_WIENER, 2, 4, 1.0, 0.1, 0, 0), "at least 1 replication, got 0"),
+    ],
+    ids=["convergence", "gap"],
+)
+def test_estimates_need_their_smallest_sample(use, problem):
+    # One replication gave a NaN standard error with a RuntimeWarning; none
+    # raised ZeroDivisionError in the Wilson interval.
+    with pytest.raises(ValueError, match=problem):
+        use()
+
+
+def model_with(**change):
+    parts = dict(dim=1, delay=1.0, drift=lambda t, h: np.zeros(1), jump=lambda t, h, m: np.zeros(1),
+                 initial=constant_path(1.0, -1.0, 0.0))
+    return s.CoefficientModel(**(parts | change))
+
+
+def inner_failure(t, h):
+    raise ModelError("inner failure", t=t)
+
+
+@pytest.mark.parametrize(
+    "use, error, problem",
+    [
+        (lambda: model_with(delay=0.0), ValueError, "delay tau must be positive"),
+        (lambda: model_with(initial=constant_path(1.0, -2.0, 0.0)), ValueError,
+         r"initial segment must live exactly on \[-tau, 0\], got \[-2.0, 0.0\]"),
+        (lambda: model_with(dim=2), ValueError, "initial segment dimension 1 != model dim 2"),
+        (lambda: model_with(initial=constant_path(math.inf, -1.0, 0.0)), ValueError, "finite sup norm"),
+        (lambda: euler_steps(0, 1.0), ValueError, "n must be >= 1"),
+        (lambda: euler_steps(4, 0.0), ValueError, "horizon T must be positive"),
+        (lambda: s.euler_solve(model_with(drift=inner_failure), NO_NOISE, 4, 1.0, (0, 0)), ModelError,
+         r"^inner failure \[t=0\]$"),
+        (lambda: s.euler_solve(gbm(), ONE_WIENER, 4, 1.0), ValueError, "need either a stream id"),
+        (lambda: s.coarsen_noise(s.sample_noise(ONE_WIENER, s.euler_grid(4, 1.0), (0, 0)), 0), ValueError,
+         "factor must be >= 1"),
+        (lambda: s.strong_convergence(gbm(), ONE_WIENER, [3, 4], 1.0, 2, 0, ORACLE), ValueError,
+         "every resolution must divide the finest one"),
+    ],
+    ids=["delay", "initial-interval", "initial-dimension", "initial-finite", "steps", "horizon",
+         "model-error-passes-through", "no-noise-source", "coarsen-factor", "resolutions-divide"],
+)
+def test_solver_rejections(use, error, problem):
+    with pytest.raises(error, match=problem):
+        use()
+
+
+@pytest.mark.parametrize(
+    "use, problem",
+    [
+        (lambda: build_model("gbn"), "unknown model 'gbn'; available: additive-jumps, delay-ode, gbm"),
+        (lambda: build_model("gbm", {"gamma": 0.5}), r"model 'gbm' does not take parameters \['gamma'\]"),
+    ],
+    ids=["name", "parameter"],
+)
+def test_model_rejections(use, problem):
+    with pytest.raises(ValueError, match=problem):
+        use()
