@@ -22,7 +22,7 @@ import numpy as np
 
 from .noise import MartingaleMeasureSpec
 from .paths import CadlagPath, sup_distance, write_path_csv
-from .solver import CoefficientModel
+from .solver import CoefficientModel, _wrap_coefficient
 from .streams import stream
 
 __all__ = [
@@ -45,8 +45,8 @@ _TABLE = {
 }
 CONDITIONS = tuple(_TABLE)
 
-# Shrink factors used when probing continuity of f in the path argument.
-_C3_SCALES = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
+# Sup norm of the path perturbation that probes continuity of f.
+_C3_SCALE = 1e-8
 
 # Violations recorded per report; each keeps its witness paths in memory.
 _MAX_WITNESSES = 16
@@ -129,13 +129,11 @@ def random_path_sampler(model: CoefficientModel, radius: float, horizon: float =
     return sampler
 
 
-def _squared_mark_integral(model, spec, t, x, y=None) -> float:
-    """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks."""
+def _squared_mark_integral(jump, spec, t, x, y=None) -> float:
+    """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks, g the wrapped jump."""
 
     def sq(mark):
-        gx = np.atleast_1d(model.jump(t, x, mark))
-        gy = np.atleast_1d(model.jump(t, y, mark)) if y is not None else 0.0
-        diff = gx - gy
+        diff = jump(t, x, mark) - (jump(t, y, mark) if y is not None else 0.0)
         return float(diff @ diff)
 
     total = sum(map(sq, range(spec.wiener_count)), 0.0)
@@ -165,11 +163,13 @@ def evaluate_condition(
     rate = getattr(model, attr)
     if rate is None:
         raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
-    f = np.atleast_1d(model.drift(t, x))
-    marks = _squared_mark_integral(model, spec, t, x, y if condition == "C1" else None)
+    drift = _wrap_coefficient(model.drift, "drift", model.dim)
+    f = drift(t, x)
+    jump = _wrap_coefficient(model.jump, "jump", model.dim)
+    marks = _squared_mark_integral(jump, spec, t, x, y if condition == "C1" else None)
     if condition == "C1":
         dx = x.left_limit(t) - y.left_limit(t)
-        lhs = 2.0 * float(dx @ (f - np.atleast_1d(model.drift(t, y)))) + marks
+        lhs = 2.0 * float(dx @ (f - drift(t, y))) + marks
         factor = sup_distance(x, y, x.start, t) ** 2
     elif condition == "C2":
         lhs, factor = 2.0 * float(x.left_limit(t) @ f) + marks, 1.0 + x.window_sup(x.start, t) ** 2
@@ -179,20 +179,17 @@ def evaluate_condition(
 
 
 def _check_c3(model, t, x, rng) -> tuple[float, float]:
-    """Continuity probe: f-gap under path perturbations of shrinking sup norm.
+    """Continuity probe: the f-gap under one path perturbation of sup norm _C3_SCALE.
 
-    lhs is the gap at the smallest perturbation, rhs the tolerance it must
-    reach; a discontinuous f stops shrinking and trips the comparison.
+    lhs is the gap, rhs the tolerance 1e-6 (1 + |f|) it must stay within; a
+    discontinuous f keeps a gap of order one and trips the comparison.
     """
-    base = np.atleast_1d(model.drift(t, x))
+    drift = _wrap_coefficient(model.drift, "drift", model.dim)
+    base = drift(t, x)
     bump = rng.uniform(-1.0, 1.0, size=x.values.shape)
-    gap = 0.0
-    for scale in _C3_SCALES:
-        xp = CadlagPath(x.breakpoints, x.values + scale * bump, x.end, x.jump_times)
-        df = np.atleast_1d(model.drift(t, xp)) - base
-        gap = float(np.sqrt(df @ df))
-    tol = 1e-6 * (1.0 + float(np.sqrt(base @ base)))
-    return gap, tol
+    xp = CadlagPath(x.breakpoints, x.values + _C3_SCALE * bump, x.end, x.jump_times)
+    df = drift(t, xp) - base
+    return float(np.sqrt(df @ df)), 1e-6 * (1.0 + float(np.sqrt(base @ base)))
 
 
 def check_condition(
@@ -214,6 +211,8 @@ def check_condition(
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     label = f"{model.name or 'model'}: {_TABLE[condition][2]}"
     report = ConditionReport(condition, samples, rate_functions_used=label)
 

@@ -96,17 +96,18 @@ _unit = _check(("lie in (0,1)", _in_unit), convert=float)
 _text = _check(("be a string path", lambda v: isinstance(v, str)))
 _mapping = _check(("be a mapping", lambda v: isinstance(v, dict)))
 _conditions = _check(
-    ("be a list drawn from C1..C5", lambda v: isinstance(v, list) and all(c in CONDITIONS for c in v))
+    ("be a list drawn from C1..C5", lambda v: isinstance(v, list) and all(c in CONDITIONS for c in v)),
+    ("be non-empty", bool),
 )
 
 
 def _unit_list(item, scalar):
-    """A list of values in (0, 1), one problem per bad entry; `scalar` also takes one number."""
+    """A non-empty list of values in (0, 1), one problem per bad entry; `scalar` also takes one number."""
 
     def check(key, v, parsed):
         if scalar and not isinstance(v, list):
             v = [v]
-        if not isinstance(v, list) or not (v or scalar):
+        if not isinstance(v, list) or not v:
             raise ConfigError([f"'{key}' must be a non-empty list, got {v!r}"])
         bad = [f"{item} must lie in (0,1), got {x!r}" for x in v if not _in_unit(x)]
         if bad:

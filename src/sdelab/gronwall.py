@@ -118,9 +118,10 @@ def _running_sup_clock_integral(xs: np.ndarray, da: np.ndarray) -> np.ndarray:
 class GronwallEnsemble:
     """Simulated (X, M, H) trajectories with a shared deterministic clock A.
 
-    Construction validates the shape invariants (X >= 0, H non-decreasing
-    from H(0) >= 0, M starting at 0, A(0) = 0 and A non-decreasing on the
-    union of breakpoints) and the assumption inequality
+    Construction validates the shape invariants (a finite horizon > 0 that
+    every path reaches, X >= 0, H non-decreasing from H(0) >= 0, M starting at
+    0, A(0) = 0 and A non-decreasing on the union of breakpoints) and the
+    assumption inequality
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
     replication; failing ensembles are rejected outright.
 
@@ -142,7 +143,9 @@ class GronwallEnsemble:
             raise EnsembleError(f"p must lie in (0,1), got {self.p}")
         if not len(self.x_paths) == len(self.m_paths) == len(self.h_paths) > 0:
             raise EnsembleError("X, M, H ensembles must have equal size, at least 1 replication")
-        if abs(self.clock(0.0)) > 1e-12:
+        if not 0.0 < self.horizon < math.inf:
+            raise EnsembleError(f"horizon must be finite and > 0, got {self.horizon}")
+        if not abs(self.clock(0.0)) <= 1e-12:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
 
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
@@ -166,6 +169,8 @@ class GronwallEnsemble:
                 raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
             integ = _running_sup_clock_integral(xs, da)
             slack = integ + m.values_at(pts)[:, 0] + h.values_at(pts)[:, 0] - xs
+            if min(x.end, m.end, h.end) < self.horizon:
+                raise EnsembleError(f"replication {r}: paths end before the horizon {self.horizon}")
             if np.any(slack < -_ASSUMPTION_TOL):
                 j = int(np.argmin(slack))
                 raise EnsembleError(

@@ -187,12 +187,6 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     return NoiseRealization(grid, dW, times, marks)
 
 
-def _vec(v) -> np.ndarray:
-    """np.atleast_1d(np.asarray(v, dtype=float)) without the dispatch of atleast_1d."""
-    a = np.asarray(v, dtype=float)
-    return a if a.ndim else a.reshape(1)
-
-
 def _cells(spec, real) -> list:
     """Per cell: (s0, s1, Wiener increments, [(time, mark) of each event in (s0, s1]]).
 
@@ -223,27 +217,27 @@ def _cell_entries(g, compensator, h, spec, s0, s1, dw, events):
     time]: Wiener increments weighted by g(s0, h, i), jumps g(t_e, h, xi_e) at
     exact event times, and the left-point compensator quadrature
     -lambda(u) * compensator(u, h) * du (node quadrature of g over mu when
-    compensator is None).  Deltas are None for entries with no contribution
-    (resolved to zeros by the caller once the output dimension is known).
+    compensator is None); g and compensator return float rows.  Deltas are
+    None for entries with no contribution, read as zeros by the caller.
     """
     wc = spec.wiener_count
     delta = None
     if wc:
-        acc = _vec(g(s0, h, 0)) * dw[0]
+        acc = g(s0, h, 0) * dw[0]
         for i in range(1, wc):
-            acc = acc + _vec(g(s0, h, i)) * dw[i]
+            acc = acc + g(s0, h, i) * dw[i]
         delta = acc
     entries = []
     if spec.has_jumps:
         comp = compensator or (
-            lambda t, h: spec.node_sum(lambda xi: _vec(g(t, h, xi))) / len(spec.compensator_nodes))
+            lambda t, h: spec.node_sum(lambda xi: g(t, h, xi)) / len(spec.compensator_nodes))
         u = s0
         for te, mark in events:
-            piece = -spec.rate(u) * _vec(comp(u, h)) * (te - u)
-            entries.append((te, _vec(g(te, h, mark)) + piece, True))
+            piece = -spec.rate(u) * comp(u, h) * (te - u)
+            entries.append((te, g(te, h, mark) + piece, True))
             u = te
         if u < s1:
-            piece = -spec.rate(u) * _vec(comp(u, h)) * (s1 - u)
+            piece = -spec.rate(u) * comp(u, h) * (s1 - u)
             delta = piece if delta is None else delta + piece
     if entries and entries[-1][0] == s1:
         # an event landed exactly on the grid point: fold the cell-end
@@ -274,8 +268,8 @@ def integrate(
     given, else frozen-node quadrature over mu.  Event times are marked as
     genuine jumps on the output path.
     """
-    g_h = lambda t, _h, mark: g(t, mark)
-    comp_h = compensator and (lambda t, _h: compensator(t))
+    g_h = lambda t, _h, mark: np.asarray(g(t, mark), dtype=float).reshape(-1)
+    comp_h = compensator and (lambda t, _h: np.asarray(compensator(t), dtype=float).reshape(-1))
     entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
     sizes = (delta.size for _, delta, _ in entries if delta is not None)
     d = next(sizes, 1)

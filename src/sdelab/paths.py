@@ -46,14 +46,17 @@ class CadlagPath:
         if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
         end = float(self.end)
-        if end < bp[-1]:
-            raise ValueError(f"end={end} lies before the last breakpoint {bp[-1]}")
+        if not end >= bp[-1]:
+            raise ValueError(f"end={end} must be >= the last breakpoint {bp[-1]}")
+        jumps = tuple(float(t) for t in self.jump_times)
+        if not set(jumps) <= set(bp[1:].tolist()):
+            raise ValueError(f"jump times {jumps} must be breakpoints after the start")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "end", end)
-        object.__setattr__(self, "jump_times", tuple(float(t) for t in self.jump_times))
+        object.__setattr__(self, "jump_times", jumps)
 
     @classmethod
     def _trusted(cls, breakpoints, values, end, jump_times=()) -> "CadlagPath":

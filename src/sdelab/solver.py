@@ -91,10 +91,15 @@ def euler_grid(n: int, T: float) -> np.ndarray:
     return np.arange(euler_steps(n, T) + 1) / n
 
 
-def _wrap_coefficient(fn, label, replication):
+def _wrap_coefficient(fn, label, dim, replication=None):
+    """fn with its value as a float row of length dim: a failure, or a value of
+    another size, raises ModelError with the label, t and the replication."""
+    shape = (dim,)
+
     def call(t, *args):
         try:
-            return fn(t, *args)
+            row = np.asarray(fn(t, *args), dtype=float)
+            return row if row.shape == shape else row.reshape(shape)
         except ModelError:
             raise
         except Exception as exc:
@@ -129,9 +134,9 @@ def euler_solve(
     elif not np.array_equal(realization.grid, grid):
         raise ValueError(f"realization grid is not the Euler grid 0, 1/{n}, ..., {T}")
 
-    f = _wrap_coefficient(model.drift, "drift", replication)
-    g = _wrap_coefficient(model.jump, "jump", replication)
-    comp = model.compensator and _wrap_coefficient(model.compensator, "compensator", replication)
+    f = _wrap_coefficient(model.drift, "drift", model.dim, replication)
+    g = _wrap_coefficient(model.jump, "jump", model.dim, replication)
+    comp = model.compensator and _wrap_coefficient(model.compensator, "compensator", model.dim, replication)
 
     # One append per cell and per event, fewer where an event lands on the grid.
     appends = grid.size - 1 + realization.event_times.size
@@ -142,7 +147,7 @@ def euler_solve(
         frozen = builder.freeze()
         u = s0
         for t, delta, is_jump in _cell_entries(g, comp, frozen, spec, s0, s1, dw, events):
-            x = x + np.asarray(f(u, frozen), dtype=float) * (t - u)
+            x = x + f(u, frozen) * (t - u)
             if delta is not None:
                 x = x + delta
             builder.append(t, x, jump=is_jump)

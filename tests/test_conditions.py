@@ -1,12 +1,17 @@
 """Falsification battery: certified models must survive, mis-rated models
 must be caught, and every recorded witness must replay bit-identically."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sdelab as s
+from sdelab.conditions import random_path_sampler
+from sdelab.errors import ModelError
 from sdelab.models import delay_ode, gbm, geometric_jump, linear, superlinear_bad
 from sdelab.paths import constant_path
+from sdelab.streams import stream
 
 NO_NOISE = s.MartingaleMeasureSpec(wiener_count=0)
 ONE_WIENER = s.MartingaleMeasureSpec(wiener_count=1)
@@ -96,6 +101,36 @@ class TestKnownBad:
 def test_unknown_condition_rejected():
     with pytest.raises(ValueError):
         s.check_condition(gbm(), ONE_WIENER, "C9", radius=1.0, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_a_verdict_needs_one_sample(samples):
+    # Zero or negative samples used to return passed=True from no draw at all.
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        s.check_condition(linear(sigma=0.5), ONE_WIENER, "C1", radius=1.0, samples=samples)
+
+
+def test_a_failing_coefficient_is_a_model_error_at_the_sampled_time():
+    def broken(t, h):
+        raise ZeroDivisionError("division by zero")
+
+    model = dataclasses.replace(linear(), drift=broken)
+    t = random_path_sampler(model, 1.0)(stream(0, 0))[0]
+    with pytest.raises(ModelError, match=r"^drift evaluation failed: division by zero \[t=") as err:
+        s.check_condition(model, ONE_WIENER, "C2", radius=1.0, samples=1, seed=0)
+    assert err.value.t == t and err.value.replication is None
+
+
+def test_c3_probes_each_sample_with_two_drift_calls():
+    calls = []
+    base = linear()
+
+    def counted(t, h):
+        calls.append(t)
+        return base.drift(t, h)
+
+    rep = s.check_condition(dataclasses.replace(base, drift=counted), NO_NOISE, "C3", radius=1.0, samples=3)
+    assert rep.passed and len(calls) == 6
 
 
 def test_missing_rate_function_rejected():

@@ -564,3 +564,22 @@ def test_multi_error_problem_list(kind):
 )
 def test_document_level_rejections(text, problem):
     assert problems_of(text) == [problem]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: []\nreplications: 2\nseed: 1\n",
+         "'p' must be a non-empty list, got []"),
+        ("kind: check-conditions\nmodel: gbm\nconditions: []\nradius: 1.0\nsamples: 1\nseed: 1\n",
+         "'conditions' must be non-empty, got []"),
+    ],
+    ids=["p", "conditions"],
+)
+def test_an_empty_list_that_would_check_nothing_is_refused(text, problem, tmp_path, capsys):
+    # Both validated OK, then ran to exit 0 with a header-only CSV.
+    assert problems_of(text) == [problem]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert cli_main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {problem}\n"

@@ -194,6 +194,33 @@ class TestVerify:
         with pytest.raises(PathDomainError, match=r"t=0.8 outside path domain \[0.0, 0.5\]"):
             s.GronwallEnsemble([x], [ZERO], [h], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "horizon, problem",
+        [
+            (-1.0, "horizon must be finite and > 0, got -1.0"),
+            (math.nan, "horizon must be finite and > 0, got nan"),
+            (2.0, "replication 0: paths end before the horizon 2.0"),
+        ],
+        ids=["negative", "nan", "past-the-paths"],
+    )
+    def test_rejects_a_horizon_the_paths_do_not_reach(self, horizon, problem):
+        # -1 and NaN died with an IndexError; 2.0 was accepted and left (1, 2]
+        # unchecked until verify_gronwall raised PathDomainError.
+        one = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 1.0)
+        with pytest.raises(EnsembleError, match=problem):
+            s.GronwallEnsemble([one], [ZERO], [one], s.MonotoneFunction(lambda u: 0.0), horizon, 0.5)
+
+    def test_variant_b_reads_jumps_at_breakpoints_only(self):
+        # M falls from 0 to -1 at t=1; marked at 0.5, its jump went unread and
+        # variant 'b' held.
+        h = s.CadlagPath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), 1.0)
+        with pytest.raises(ValueError, match="must be breakpoints after the start"):
+            s.CadlagPath(np.array([0.0, 1.0]), np.array([[0.0], [-1.0]]), 1.0, (0.5,))
+        m = s.CadlagPath(np.array([0.0, 1.0]), np.array([[0.0], [-1.0]]), 1.0, (1.0,))
+        ens = s.GronwallEnsemble([ZERO], [m], [h], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5)
+        with pytest.raises(EnsembleError, match="variant 'b' needs M without negative jumps"):
+            s.verify_gronwall(ens, "b")
+
     def test_rejects_a_decreasing_clock(self):
         # X = (1, 2, 0), M = 0, H = 1 and A = (0, 1, 0) at t = (0, 0.5, 1):
         # the assumption inequality holds at every point only because A falls.
@@ -209,6 +236,7 @@ class TestVerify:
             ({"p": 1.0}, r"p must lie in \(0,1\), got 1.0"),
             ({"m": [ZERO, ZERO]}, "X, M, H ensembles must have equal size"),
             ({"clock": lambda u: u + 1.0}, r"A\(0\) must be 0, got 1.0"),
+            ({"clock": lambda u: math.nan}, r"A\(0\) must be 0, got nan"),
             ({"x": [s.CadlagPath(np.array([0.0]), np.array([[1.0, 1.0]]), 1.0)]}, "must be scalar"),
             ({"h": [s.CadlagPath(np.array([-1.0]), np.array([[1.0]]), 1.0)]}, "must start at t=0"),
             ({"h": [s.CadlagPath(np.array([0.0, 0.5]), np.array([[2.0], [1.0]]), 1.0)]},
@@ -216,7 +244,7 @@ class TestVerify:
             ({"m": [s.CadlagPath(np.array([0.0]), np.array([[0.5]]), 1.0)]}, r"M\(0\) must be 0"),
             ({"x": [], "m": [], "h": []}, "at least 1 replication"),
         ],
-        ids=["p", "sizes", "clock-start", "non-scalar", "start", "h-decreasing", "m-start", "empty"],
+        ids=["p", "sizes", "clock-start", "clock-start-nan", "non-scalar", "start", "h-decreasing", "m-start", "empty"],
     )
     def test_rejects_a_broken_shape_invariant(self, change, problem):
         # X = H = 1, M = 0, A = 0 is valid; each change breaks one invariant.

@@ -179,11 +179,16 @@ def test_nan_time_is_outside_the_domain(query):
         (lambda: PathBuilder(two_step(), 3.0, 1).append(1.0, np.ones(1)), r"strictly increase in time \(1.0\)"),
         (lambda: sup_distance(two_step(), two_step(), 1.0, 0.0), "empty window: a=1.0 > b=0.0"),
         (lambda: sup_distance(two_step(), two_step(), math.nan, 1.0), "t=nan outside path domain"),
+        (lambda: CadlagPath(np.array([0.0]), np.ones((1, 1)), math.nan), "end=nan must be >= the last breakpoint"),
+        (lambda: CadlagPath(np.array([0.0, 1.0]), np.ones((2, 1)), 2.0, (0.5,)),
+         r"jump times \(0.5,\) must be breakpoints after the start"),
+        (lambda: CadlagPath(np.array([0.0, 1.0]), np.ones((2, 1)), 2.0, (0.0, 1.0)),
+         r"jump times \(0.0, 1.0\) must be breakpoints after the start"),
     ],
     ids=[
         "empty", "infinite", "window-before-start", "window-after-end", "window-empty",
         "values_at-after-end", "values_at-nan", "builder-end", "builder-order",
-        "sup_distance-empty", "sup_distance-nan",
+        "sup_distance-empty", "sup_distance-nan", "end-nan", "jump-off-breakpoint", "jump-at-start",
     ],
 )
 def test_rejection_branches(make, problem):

@@ -2,11 +2,15 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdelab import parse_config, run_experiment
 from sdelab.cli import main as cli_main
+from sdelab.models import MODEL_NAMES
 
 
 def run(text, out, **overrides):
@@ -355,3 +359,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(first_line)
         assert err.endswith(f"\nreplay: sde run {cfg} --seed 3\n")
+
+
+# The smallest size each kind accepts; {model} takes any built-in model.
+SMALLEST = {
+    "simulate-0": "kind: simulate\nmodel: {model}\nn: 1\nT: 1.0\nreplications: 0\n",
+    "simulate-1": "kind: simulate\nmodel: {model}\nn: 1\nT: 1.0\nreplications: 1\n",
+    "convergence": "kind: convergence\nmodel: gbm\nresolutions: [1, 2]\nT: 1.0\nreplications: 2\n",
+    "lenglart-tail": "kind: lenglart\nmode: tail\nc: 1.0\nd: 1.0\ngrid_n: 1\nreplications: 2\n",
+    "lenglart-moment": "kind: lenglart\nmode: moment\np: 0.5\ngrid_n: 1\nreplications: 2\n",
+    "counterexample": "kind: counterexample\nq_values: [0.5]\np: 0.5\nalpha: 0.5\nreplications: 2\n",
+    "gronwall-gbm-squared": "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nn: 1\nreplications: 2\n",
+    "gronwall-counterexample": (
+        "kind: verify-gronwall\nensemble: counterexample\nvariant: c\np: 0.5\nq: 0.5\nalpha: 0.5\n"
+        "replications: 2\n"
+    ),
+    "check-conditions": "kind: check-conditions\nmodel: {model}\nradius: 1.0\nsamples: 1\n",
+}
+
+
+def finite_numbers(value):
+    """Whether every number in a parsed JSON document is finite."""
+    if isinstance(value, dict):
+        return all(map(finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def no_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(SMALLEST)), model=st.sampled_from(MODEL_NAMES), seed=st.integers(0, 2**64 - 1))
+def test_the_smallest_sizes_run_to_a_strict_finite_report(case, model, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.yaml", Path(tmp) / "out"
+        cfg.write_text(SMALLEST[case].format(model=model) + f"seed: {seed}\n")
+        assert cli_main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+        report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    assert finite_numbers(report)

@@ -2,6 +2,7 @@
 geometric diffusion by its exponential solution, plus the structural
 contracts (grid anchor map, frozen histories, adaptedness)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestEulerSolve:
         with pytest.raises(ModelError, match="compensator evaluation failed") as err:
             s.euler_solve(model, spec, 4, 1.0, (0, 0), replication=7)
         assert "t=0.5" in str(err.value) and "replication=7" in str(err.value)
+
+    def test_a_value_of_another_size_is_a_model_error(self):
+        # A dim-2 model whose jump gave one entry was solved with both
+        # components driven by the same noise.
+        model = dataclasses.replace(build_model("linear", {"dim": 2}), jump=lambda t, h, m: np.array([0.5]))
+        with pytest.raises(ModelError, match=r"^jump evaluation failed: .* \[t=0, replication=3\]$"):
+            s.euler_solve(model, ONE_WIENER, 4, 1.0, (1, 0), replication=3)
+
+    def test_a_scalar_coefficient_is_a_row_in_one_dimension(self):
+        model = gbm()
+        scalar = dataclasses.replace(model, drift=lambda t, h: float(model.drift(t, h)[0]))
+        a = s.euler_solve(model, ONE_WIENER, 8, 1.0, (2, 0))
+        b = s.euler_solve(scalar, ONE_WIENER, 8, 1.0, (2, 0))
+        assert np.array_equal(a.values, b.values)
 
     def test_realization_must_contain_boundaries(self):
         real = s.sample_noise(ONE_WIENER, s.euler_grid(4, 1.0), (0, 0))

@@ -4,12 +4,13 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdelab
 from sdelab import parse_config
 from sdelab.errors import ConfigError
-from sdelab.models import MODEL_NAMES, ORACLE_MODELS, exact_terminal
+from sdelab.models import MODEL_NAMES, ORACLE_MODELS, build_model, build_noise, exact_terminal
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -42,3 +43,18 @@ def test_every_oracle_builds_from_its_model_defaults(name):
     # parameters, so a renamed parameter fails here and not in a run.
     assert name in MODEL_NAMES
     assert callable(exact_terminal(name, {}, {}, 1.0))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, {}) for name in MODEL_NAMES] + [("linear", {"dim": 2})],
+    ids=[*MODEL_NAMES, "linear-dim-2"],
+)
+def test_every_builtin_coefficient_returns_a_row_of_the_model_dimension(name, params):
+    # The solver and the condition checker refuse any other size.
+    model = build_model(name, params)
+    h, node = model.initial, build_noise(jump_rate=1.0).compensator_nodes[0]
+    values = [model.drift(0.0, h), model.jump(0.0, h, 0), model.jump(0.0, h, node)]
+    if model.compensator is not None:
+        values.append(model.compensator(0.0, h))
+    assert [np.shape(v) for v in values] == [(model.dim,)] * len(values)
