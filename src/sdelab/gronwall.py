@@ -153,25 +153,27 @@ class GronwallEnsemble:
                 raise EnsembleError("ensemble paths must be scalar")
             if x.start != 0.0 or m.start != 0.0 or h.start != 0.0:
                 raise EnsembleError(f"replication {r}: ensemble paths must start at t=0")
-            if np.any(x.values < 0):
+            if (x.values < 0).any():
                 raise EnsembleError(f"replication {r}: X takes a negative value")
             hv = h.values[:, 0]
-            if hv[0] < 0 or (hv.size > 1 and np.any(np.diff(hv) < 0)):
+            if hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any():
                 raise EnsembleError(f"replication {r}: H must be non-decreasing from H(0) >= 0")
             if abs(float(m.values[0, 0])) > 1e-12:
                 raise EnsembleError(f"replication {r}: M(0) must be 0")
-            pts = np.union1d(np.union1d(x.breakpoints, m.breakpoints), h.breakpoints)
-            pts = pts[(pts >= 0) & (pts <= self.horizon)]
+            # every path starts at 0, so the sorted union only needs its cut at the horizon
+            pts = np.unique(np.concatenate((x.breakpoints, m.breakpoints, h.breakpoints)))
+            pts = pts[: pts.searchsorted(self.horizon, "right")]
             xs = x.values_at(pts)[:, 0]
-            da = np.diff(np.array([self.clock(t) for t in pts]))
-            if not np.all(da >= 0):
+            a = np.array([self.clock(t) for t in pts.tolist()])
+            da = a[1:] - a[:-1]
+            if not (da >= 0).all():
                 j = int(np.argmin(da >= 0)) + 1
                 raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
             integ = _running_sup_clock_integral(xs, da)
             slack = integ + m.values_at(pts)[:, 0] + h.values_at(pts)[:, 0] - xs
             if min(x.end, m.end, h.end) < self.horizon:
                 raise EnsembleError(f"replication {r}: paths end before the horizon {self.horizon}")
-            if np.any(slack < -_ASSUMPTION_TOL):
+            if (slack < -_ASSUMPTION_TOL).any():
                 j = int(np.argmin(slack))
                 raise EnsembleError(
                     f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
@@ -287,7 +289,7 @@ def lenglart_tail(
     holds when the 99% lower bound of the LHS does not exceed the 99% upper
     bound of the RHS (no extra slack).
     """
-    if c <= 0 or d <= 0:
+    if not (c > 0 and d > 0):
         raise ValueError("both c and d must be positive")
     lh, rh = [], []
     for sx, sg in _sup_pairs(x_paths, g_paths):

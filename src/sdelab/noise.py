@@ -268,11 +268,21 @@ def integrate(
     given, else frozen-node quadrature over mu.  Event times are marked as
     genuine jumps on the output path.
     """
-    g_h = lambda t, _h, mark: np.asarray(g(t, mark), dtype=float).reshape(-1)
-    comp_h = compensator and (lambda t, _h: np.asarray(compensator(t), dtype=float).reshape(-1))
+    d = None  # the first integrand or compensator value fixes the output dimension
+
+    def row(value, t, label):
+        nonlocal d
+        v = np.asarray(value, dtype=float).reshape(-1)
+        if d is None:
+            d = v.size
+        elif v.size != d:
+            raise ValueError(f"{label} value at t={t} has {v.size} entries, the first value had {d}")
+        return v
+
+    g_h = lambda t, _h, mark: row(g(t, mark), t, "integrand")
+    comp_h = compensator and (lambda t, _h: row(compensator(t), t, "compensator"))
     entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
-    sizes = (delta.size for _, delta, _ in entries if delta is not None)
-    d = next(sizes, 1)
+    d = 1 if d is None else d
     start = float(real.grid[0])
     builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
     level = np.zeros(d)

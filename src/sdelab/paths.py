@@ -5,6 +5,8 @@ the final segment runs through the closed right endpoint of the domain.
 Piecewise-constant storage makes left limits and windowed suprema exact and
 O(log m) per query, which is all the Euler scheme and the pure-jump noise
 ever produce (drift variation within a step is absorbed by grid refinement).
+A value query at or after the last breakpoint, where every Euler query on a
+frozen history lands, costs one comparison and no search.
 
 Breakpoints that correspond to genuine discontinuities of the modelled
 process (Poisson events, martingale jumps) can be marked via `jump_times`;
@@ -57,15 +59,17 @@ class CadlagPath:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "jump_times", jumps)
+        object.__setattr__(self, "_tail", float(bp[-1]))
 
     @classmethod
-    def _trusted(cls, breakpoints, values, end, jump_times=()) -> "CadlagPath":
+    def _trusted(cls, breakpoints, values, end, jump_times=(), tail=None) -> "CadlagPath":
         """Construct without validation.  Internal use on arrays the builder already owns."""
         p = object.__new__(cls)
         object.__setattr__(p, "breakpoints", breakpoints)
         object.__setattr__(p, "values", values)
         object.__setattr__(p, "end", end)
         object.__setattr__(p, "jump_times", jump_times)
+        object.__setattr__(p, "_tail", float(breakpoints[-1]) if tail is None else tail)
         return p
 
     # -- basic geometry ------------------------------------------------
@@ -85,12 +89,15 @@ class CadlagPath:
             )
 
     # -- queries ---------------------------------------------------------
-    # The hot queries search first: a segment index below 0 means t lies
-    # before start, so one comparison pair guards the domain.  A NaN time
-    # searches past the last breakpoint and fails `t <= end`.
+    # value_at answers a time on the last segment with one comparison pair.
+    # Otherwise the hot queries search first: a segment index below 0 means t
+    # lies before start, so one comparison pair guards the domain.  A NaN time
+    # fails every comparison, searches past the last breakpoint and fails `t <= end`.
 
     def value_at(self, t: float) -> np.ndarray:
         """Value of the segment containing t (right-continuous)."""
+        if self._tail <= t <= self.end:
+            return self.values[-1]
         i = self.breakpoints.searchsorted(t, "right") - 1
         if i < 0 or not t <= self.end:
             self._check_domain(t)
@@ -99,7 +106,7 @@ class CadlagPath:
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """value_at at each of the increasing times ts, one row per time, in one search."""
         i = self.breakpoints.searchsorted(ts, "right") - 1
-        if i[0] < 0 or not ts[0] <= ts[-1] <= self.end:
+        if i.size and (i[0] < 0 or not ts[0] <= ts[-1] <= self.end):
             self._check_domain(ts[0])
             self._check_domain(ts[-1])
         return self.values[i]
@@ -173,7 +180,7 @@ class PathBuilder:
     def freeze(self) -> CadlagPath:
         """Frozen view of everything appended so far, on the full domain."""
         return CadlagPath._trusted(
-            self._bp[: self._n], self._vals[: self._n], self._end, tuple(self._jumps)
+            self._bp[: self._n], self._vals[: self._n], self._end, tuple(self._jumps), self._last
         )
 
     def finish(self) -> CadlagPath:

@@ -256,6 +256,47 @@ class TestVerify:
             )
 
 
+def horizon_grid_ensemble(x=(1.0, 1.2, 2.0, 9.0), m=(0.0, 0.5), h=(1.5, 1.75, 3.0),
+                          clock=lambda u: 0.0, horizon=1.0):
+    """X, M, H on three breakpoint sets; X has one at the horizon 1 and one past it.
+
+    With the defaults X <= M + H holds through the horizon (slack 0.25 at
+    t = 1) and fails at 1.5, past it.
+    """
+
+    def path(bp, values):
+        return s.CadlagPath(np.array(bp), np.array(values)[:, None], 2.0)
+
+    return s.GronwallEnsemble(
+        [path([0.0, 0.25, 1.0, 1.5], x)], [path([0.0, 0.5], m)], [path([0.0, 0.75, 1.25], h)],
+        s.MonotoneFunction(clock), horizon, 0.5,
+    )
+
+
+class TestHorizonCut:
+    def test_points_past_the_horizon_are_not_read(self):
+        assert horizon_grid_ensemble().replications == 1
+        falls_later = lambda u: 0.0 if u < 1.25 else -1.0
+        assert horizon_grid_ensemble(clock=falls_later).replications == 1
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"x": (1.0, 1.2, 2.0, -1.0)}, "replication 0: X takes a negative value$"),
+            ({"h": (1.5, 1.75, 1.0)}, r"replication 0: H must be non-decreasing from H\(0\) >= 0$"),
+            ({"m": (0.25, 0.5)}, r"replication 0: M\(0\) must be 0$"),
+            ({"clock": lambda u: 0.0 if u < 1.0 else -1.0}, "replication 0: A must be non-decreasing, it falls at t=1$"),
+            ({"x": (1.0, 1.2, 2.5, 9.0)},
+             r"replication 0: assumption inequality fails at t=1 \(X=2.5 > bound=2.25\)$"),
+            ({"horizon": 2.5}, "replication 0: paths end before the horizon 2.5$"),
+        ],
+        ids=["x-negative-past", "h-falls-past", "m-start", "clock-falls-at", "assumption-at", "horizon-past-ends"],
+    )
+    def test_each_rejection_keeps_its_message(self, change, problem):
+        with pytest.raises(EnsembleError, match=problem):
+            horizon_grid_ensemble(**change)
+
+
 class TestLenglartTail:
     def test_deterministic_pair(self):
         rep = s.lenglart_tail(*constant_pairs(1.0, 50), c=2.0, d=5.0)
@@ -287,6 +328,12 @@ class TestLenglartTail:
             s.lenglart_tail(*constant_pairs(1.0, 2), c=0.0, d=1.0)
         with pytest.raises(ValueError):
             s.lenglart_tail(*constant_pairs(1.0, 2), c=1.0, d=-1.0)
+
+    @pytest.mark.parametrize("c, d", [(math.nan, 1.0), (1.0, math.nan)], ids=["c", "d"])
+    def test_a_nan_parameter_is_refused(self, c, d):
+        # NaN passed `c <= 0 or d <= 0` and the report read rhs=nan, 'violated'.
+        with pytest.raises(ValueError, match="both c and d must be positive"):
+            s.lenglart_tail(*s.brownian_square_pairs(10, 8, 1), c, d)
 
 
 class TestLenglartMoment:

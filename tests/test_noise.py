@@ -14,7 +14,7 @@ import pytest
 
 import sdelab as s
 from sdelab.errors import NoiseSpecError
-from sdelab.models import gbm
+from sdelab.models import build_noise, gbm
 from sdelab.streams import as_generator
 
 GRID = np.linspace(0.0, 1.0, 5)
@@ -228,6 +228,27 @@ class TestIntegrate:
             assert pu.value_at(t)[0] == pytest.approx(
                 pa.value_at(t)[0] + pb.value_at(t)[0], abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "compensator, problem",
+        [
+            (lambda t: np.array([0.25]), "compensator value at t=0.0 has 1 entries, the first value had 2"),
+            (lambda t: np.array([0.25, 0.0]), "integrand value at t=0.33228749.* has 1 entries, the first value had 2"),
+            (None, "integrand value at t=0.0 has 1 entries, the first value had 2"),
+        ],
+        ids=["compensator", "jump", "quadrature"],
+    )
+    def test_a_value_of_another_size_is_refused(self, compensator, problem):
+        # The Wiener value [1, 0] fixes two components; a one-entry value was
+        # broadcast into both, so the second component ended at 1.0, not 0.
+        spec = build_noise(wiener=1, jump_rate=4.0)
+        real = s.sample_noise(spec, GRID, (3, 0))
+
+        def g(t, mark):
+            return np.array([1.0, 0.0]) if isinstance(mark, (int, np.integer)) else np.array([1.0])
+
+        with pytest.raises(ValueError, match=problem):
+            s.integrate(g, spec, real, compensator)
 
     def test_event_times_marked_as_jumps(self):
         spec = jump_spec(4.0)

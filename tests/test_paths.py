@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,13 @@ def test_rejection_branches(make, problem):
         make()
 
 
+def test_values_at_no_times_is_an_empty_block():
+    # It read the first segment index before anything else: IndexError.
+    p = CadlagPath(np.array([0.0, 1.0]), np.ones((2, 3)), 2.0)
+    out = p.values_at(np.array([]))
+    assert out.shape == (0, 3)
+
+
 # --- randomized invariants ------------------------------------------------
 
 @st.composite
@@ -260,6 +268,38 @@ def test_values_at_matches_value_at(case):
     p, t, s = case
     ts = np.array(sorted({p.start, t, s, p.end}))
     assert np.array_equal(p.values_at(ts), np.array([p.value_at(u) for u in ts]))
+
+
+@st.composite
+def tail_cases(draw):
+    k = draw(st.integers(1, 6))
+    times = draw(st.lists(st.floats(-2.0, 4.0), min_size=k, max_size=k, unique=True))
+    bp = np.sort(np.asarray(times, dtype=float))
+    vals = np.asarray(draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * k, max_size=2 * k)))
+    end = float(bp[-1]) + draw(st.sampled_from([0.0, 1e-9, 0.5, 2.0]))
+    return bp, vals.reshape(k, 2), end
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tail_cases())
+def test_value_at_on_every_construction_reads_the_searched_segment(case):
+    # The last segment is answered without a search; every time must still
+    # read values[searchsorted(bp, t, "right") - 1] bit for bit, and every
+    # time off the domain must raise the searched path's message.
+    bp, vals, end = case
+    builder = PathBuilder(CadlagPath(bp[:1], vals[:1], float(bp[0])), end, bp.size - 1)
+    for t, v in zip(bp[1:].tolist(), vals[1:]):
+        builder.append(t, v)
+    made = [CadlagPath(bp, vals, end), CadlagPath._trusted(bp, vals, end), builder.freeze()]
+    times = [*bp.tolist(), (float(bp[-1]) + end) / 2, end]
+    for p in made:
+        for t in times:
+            want = vals[np.searchsorted(bp, t, "right") - 1]
+            assert p.value_at(t).tobytes() == want.tobytes()
+        for t in (math.nan, float(bp[0]) - 1.0, end + 1.0):
+            problem = re.escape(f"t={t} outside path domain [{bp[0]}, {end}]")
+            with pytest.raises(PathDomainError, match=problem):
+                p.value_at(t)
 
 
 @st.composite
