@@ -1,15 +1,14 @@
 """Command line entry point.
 
-    sde run <config.yaml> [--seed S] [--threads N] [--out DIR]
+    sde run <config.yaml> [--seed S] [--out DIR]
     sde validate <config.yaml>
 
-Seed and thread count can also come from SDE_SEED / SDE_THREADS; precedence
-is flag > environment > config file, and an environment variable is read only
-when its flag is absent.  Either override, as text, takes the config key's
-check, so a value that is not an integer is a config error too, for
-`validate` as for `run`.  The thread count has no effect: replications run
-serially in one process, and results never depend on it.  A run that fails
-after its config loaded ends stderr with the command that replays it.
+The seed can also come from SDE_SEED; precedence is flag > environment >
+config file, and the environment variable is read only when the flag is
+absent.  The override, as text, takes the config key's check, so a value that
+is not an integer is a config error too, for `validate` as for `run`.  A run
+that fails after its config loaded ends stderr with the command that replays
+it.  A usage error exits 1, like every operational error.
 """
 
 from __future__ import annotations
@@ -24,14 +23,21 @@ from .errors import ConfigError, SdeLabError
 from .runner import run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1: 2 means a detected violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sde", description=__doc__)
+    parser = _Parser(prog="sde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment described by a config file")
     run_p.add_argument("config", help="path to the YAML experiment config")
     run_p.add_argument("--seed", default=None, help="override the config seed")
-    run_p.add_argument("--threads", default=None, help="no effect (replications run serially)")
     run_p.add_argument("--out", default=None, help="output directory for artifacts")
 
     val_p = sub.add_parser("validate", help="check a config file and report every problem")
@@ -48,12 +54,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args.config)
-        for key in ("seed", "threads"):
-            flag, env = getattr(args, key, None), f"SDE_{key.upper()}"
-            if flag is not None:
-                setattr(cfg, key, check_override(key, f"--{key}", flag))
-            elif env in os.environ:
-                setattr(cfg, key, check_override(key, env, os.environ[env]))
+        flag = getattr(args, "seed", None)
+        if flag is not None:
+            cfg.seed = check_override("--seed", flag)
+        elif "SDE_SEED" in os.environ:
+            cfg.seed = check_override("SDE_SEED", os.environ["SDE_SEED"])
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -22,7 +22,7 @@ import yaml
 
 from .conditions import CONDITIONS
 from .errors import ConfigError
-from .models import MODEL_NAMES, ORACLE_MODELS, model_param_names, noise_problems
+from .models import MODEL_NAMES, ORACLE_MODELS, envelope_problems, model_param_names, noise_problems
 from .solver import euler_steps
 from .streams import KEY_LIMIT
 
@@ -33,7 +33,6 @@ __all__ = ["ExperimentConfig", "parse_config", "check_override", "KINDS"]
 class ExperimentConfig:
     kind: str
     seed: int
-    threads: int = 1          # accepted, no effect: replications run serially
     output: Optional[str] = None
     options: dict = field(default_factory=dict)
 
@@ -183,6 +182,14 @@ def _noise(key, m, parsed):
     return m
 
 
+def _envelopes(parsed):
+    """The checks test the model's rate envelopes, so a default one must cover the noise."""
+    if {"model", "model_params", "noise"} <= parsed.keys():
+        problems = envelope_problems(parsed["model"], parsed["model_params"], parsed["noise"])
+        if problems:
+            raise ConfigError(problems)
+
+
 def _resolutions(key, res, parsed):
     if not isinstance(res, list) or not res or not all(_is_int(v) and v >= 1 for v in res):
         raise ConfigError([f"'{key}' must be a non-empty list of integers >= 1, got {res!r}"])
@@ -233,7 +240,8 @@ class _Row(NamedTuple):
 
 _COMMON = (
     _Row("seed", _seed, required=True),
-    _Row("threads", _integer(1), default=1),
+    # Validated and dropped: runs are serial, but perfbench workloads still send it.
+    _Row("threads", _integer(1)),
     _Row("output", _text),
 )
 
@@ -287,6 +295,7 @@ _SCHEMAS = {
         _Row("replications", _integer(2), required=True),
     ),
     "check-conditions": _COMMON + _MODEL + (
+        _envelopes,
         _Row("conditions", _conditions, default=list(CONDITIONS)),
         _Row("radius", _positive, required=True),
         _Row("samples", _integer(1), required=True),
@@ -297,14 +306,14 @@ _SCHEMAS = {
 KINDS = tuple(_SCHEMAS)
 
 
-def check_override(key: str, source: str, value) -> int:
-    """An override of `seed` or `threads` from `source` (a flag or an
-    environment variable), checked like the config key.  Text that spells an
-    integer counts as that integer."""
+def check_override(source: str, value) -> int:
+    """A seed override from `source` (a flag or an environment variable),
+    checked like the config key.  Text that spells an integer counts as that
+    integer."""
     if isinstance(value, str):
         with contextlib.suppress(ValueError):
             value = int(value)
-    return next(row for row in _COMMON if row.key == key).check(source, value, {})
+    return _seed(source, value, {})
 
 
 def _read(row: _Row, data: dict, parsed: dict):
@@ -349,5 +358,5 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
-    seed, threads, output = (parsed.pop(k) for k in ("seed", "threads", "output"))
-    return ExperimentConfig(kind=kind, seed=seed, threads=threads, output=output, options=parsed)
+    common = {row.key: parsed.pop(row.key) for row in _COMMON}
+    return ExperimentConfig(kind=kind, seed=common["seed"], output=common["output"], options=parsed)

@@ -3,7 +3,9 @@
 Each factory returns a CoefficientModel whose rate functions (local
 monotonicity, coercivity, magnitude bound) are the analytically correct
 envelopes, except for the deliberately mis-rated `superlinear_bad`, which the
-condition checker is expected to catch.
+condition checker is expected to catch.  Every model has history length
+tau = 1.0; only delay-ode reads the path before t, the others read x(t) or
+x(t-) alone.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ __all__ = [
     "build_noise",
     "model_param_names",
     "noise_problems",
+    "envelope_problems",
     "exact_terminal",
     "MODEL_NAMES",
     "ORACLE_MODELS",
 ]
 
 
-def gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0, delay: float = 1.0) -> CoefficientModel:
-    """dX = mu X dt + sigma X dW: the geometric jump diffusion with gamma = 0.
-    No delay dependence; tau only sets the initial window."""
-    return dataclasses.replace(geometric_jump(mu, sigma, gamma=0.0, x0=x0, delay=delay), name="gbm")
+def gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0) -> CoefficientModel:
+    """dX = mu X dt + sigma X dW: the geometric jump diffusion with gamma = 0."""
+    return dataclasses.replace(geometric_jump(mu, sigma, gamma=0.0, x0=x0), name="gbm")
 
 
 def gbm_exact_terminal(mu: float, sigma: float, x0: float, T: float):
@@ -75,7 +77,7 @@ def delay_ode() -> CoefficientModel:
     )
 
 
-def linear(sigma: float = 0.5, delay: float = 1.0, dim: int = 1, jump_rate_bound: float = 0.0) -> CoefficientModel:
+def linear(sigma: float = 0.5, dim: int = 1, jump_rate_bound: float = 0.0) -> CoefficientModel:
     """Contracting drift f = -x(t-) with constant noise amplitude sigma.
 
     The drift difference term is non-positive, so the monotonicity envelope 2
@@ -92,10 +94,10 @@ def linear(sigma: float = 0.5, delay: float = 1.0, dim: int = 1, jump_rate_bound
     k_const = sigma * sigma * dim * (1.0 + jump_rate_bound)
     return CoefficientModel(
         dim=dim,
-        delay=delay,
+        delay=1.0,
         drift=drift,
         jump=jump,
-        initial=constant_path(np.zeros(dim), -delay, 0.0),
+        initial=constant_path(np.zeros(dim), -1.0, 0.0),
         compensator=lambda t, h: np.full(dim, sigma),
         lipschitz_rate=lambda t, R: 2.0,
         growth_rate=lambda t: max(k_const, 1e-12),
@@ -104,7 +106,7 @@ def linear(sigma: float = 0.5, delay: float = 1.0, dim: int = 1, jump_rate_bound
     )
 
 
-def superlinear_bad(delay: float = 1.0) -> CoefficientModel:
+def superlinear_bad() -> CoefficientModel:
     """f = x|x| componentwise with a (wrong) unit coercivity envelope.
 
     2 <x, x|x|> = 2|x|^3 outgrows K(t)(1 + sup^2) for any constant K; the
@@ -120,10 +122,10 @@ def superlinear_bad(delay: float = 1.0) -> CoefficientModel:
 
     return CoefficientModel(
         dim=1,
-        delay=delay,
+        delay=1.0,
         drift=drift,
         jump=jump,
-        initial=constant_path(0.0, -delay, 0.0),
+        initial=constant_path(0.0, -1.0, 0.0),
         lipschitz_rate=lambda t, R: 4.0 * R,
         growth_rate=lambda t: 1.0,
         bound_rate=lambda t, R: R * R,
@@ -131,7 +133,7 @@ def superlinear_bad(delay: float = 1.0) -> CoefficientModel:
     )
 
 
-def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5, delay: float = 1.0) -> CoefficientModel:
+def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5) -> CoefficientModel:
     """Pure-jump model dX = gamma * xi dM~: additive marks, closed-form compensator."""
 
     def drift(t, h):
@@ -144,10 +146,10 @@ def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5, delay: float = 1.
 
     return CoefficientModel(
         dim=1,
-        delay=delay,
+        delay=1.0,
         drift=drift,
         jump=jump,
-        initial=constant_path(0.0, -delay, 0.0),
+        initial=constant_path(0.0, -1.0, 0.0),
         compensator=lambda t, h: np.array([gamma * mark_mean]),
         lipschitz_rate=lambda t, R: 0.0,
         growth_rate=lambda t: 1.0,
@@ -164,7 +166,6 @@ def geometric_jump(
     mark_sq_bound: float = 1.0,
     rate_bound: float = 2.0,
     x0: float = 1.0,
-    delay: float = 1.0,
 ) -> CoefficientModel:
     """Geometric jump diffusion dX = X(t-) [mu dt + sigma dW + gamma xi dM~].
 
@@ -187,10 +188,10 @@ def geometric_jump(
     lip = 2 * abs(mu) + noise_l2
     return CoefficientModel(
         dim=1,
-        delay=delay,
+        delay=1.0,
         drift=drift,
         jump=jump,
-        initial=constant_path(x0, -delay, 0.0),
+        initial=constant_path(x0, -1.0, 0.0),
         compensator=lambda t, h: gamma * mark_mean * h.value_at(t),
         lipschitz_rate=lambda t, R: lip,
         growth_rate=lambda t: lip,
@@ -278,6 +279,11 @@ def _settings(name: str, model_params: dict, noise: dict) -> dict:
     return {k: p.default for k, p in defaults.items()} | model_params | noise
 
 
+def _first_mark_bounds(s: dict) -> tuple:
+    """mark_low and mark_high of the first mark coordinate, from _settings."""
+    return tuple(v[0] if isinstance(v, list) else v for v in (s["mark_low"], s["mark_high"]))
+
+
 def noise_problems(name: str, model_params: dict, noise: dict) -> list:
     """What model `name` with these parameters contradicts in the noise config.
 
@@ -293,13 +299,38 @@ def noise_problems(name: str, model_params: dict, noise: dict) -> list:
         uniform_marks(s["mark_low"], s["mark_high"])
     except ValueError as exc:
         return [f"noise 'mark_low' and 'mark_high': {exc}"]
-    low, high = (v[0] if isinstance(v, list) else v for v in (s["mark_low"], s["mark_high"]))
+    low, high = _first_mark_bounds(s)
     mean = (low + high) / 2
     if "mark_mean" not in s or math.isclose(s["mark_mean"], mean, rel_tol=1e-12):
         return []
     return [
         f"model parameter 'mark_mean' must equal the mean of the first mark coordinate, "
         f"(mark_low + mark_high) / 2 = {mean!r}, got {s['mark_mean']!r}"
+    ]
+
+
+def envelope_problems(name: str, model_params: dict, noise: dict) -> list:
+    """The defaulted rate envelope parameters of model `name` that its noise outgrows.
+
+    With jumps on, a jump-rate bound (rate_bound, jump_rate_bound) must be
+    at least jump_rate, and mark_sq_bound at least the square of the first
+    mark coordinate at either end of [mark_low, mark_high].  A value given in
+    model_params is the envelope under test and is left to the checks.
+    """
+    s = _settings(name, model_params, noise)
+    if s["jump_rate"] <= 0:
+        return []
+    low, high = _first_mark_bounds(s)
+    rate = ("noise 'jump_rate'", s["jump_rate"])
+    needs = {
+        "rate_bound": rate,
+        "jump_rate_bound": rate,
+        "mark_sq_bound": ("the largest squared first mark coordinate", max(low * low, high * high)),
+    }
+    return [
+        f"model parameter '{k}' defaults to {s[k]!r}, below {what} {need!r}; set it to at least that"
+        for k, (what, need) in needs.items()
+        if k in s and k not in model_params and s[k] < need
     ]
 
 

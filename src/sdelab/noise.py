@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NoiseSpecError
 from .paths import CadlagPath, PathBuilder, constant_path
-from .streams import QUADRATURE_STREAM, as_generator, stream
+from .streams import QUADRATURE_STREAM, stream
 
 __all__ = [
     "MartingaleMeasureSpec",
@@ -158,9 +158,9 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     Wiener increments are independent across cells and components; Poisson
     events come from thinning a homogeneous rate-lambda_bar process (accept an
     event at time t with probability lambda(t)/lambda_bar) with i.i.d. marks.
-    Fully deterministic given the stream.
+    Fully deterministic given stream_id, the (seed, index) key of its stream.
     """
-    rng = as_generator(stream_id)
+    rng = stream(*stream_id)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be increasing with at least two points")
@@ -192,7 +192,9 @@ def _cells(spec, real) -> list:
 
     Times and increments are Python floats; one search over the grid splits the events.
     The realization must come from a spec with the same Wiener count, and
-    from one with jumps if it holds events.
+    from one with jumps if it holds events.  Its event times must be strictly
+    increasing inside (0, T], one mark row each, so that no event falls
+    outside every cell.
     """
     wiener, count = real.wiener_increments.shape[1], real.event_times.size
     if wiener != spec.wiener_count or count and not spec.has_jumps:
@@ -200,9 +202,18 @@ def _cells(spec, real) -> list:
             f"realization has {wiener} Wiener components and {count} events, but the spec has "
             f"{spec.wiener_count} Wiener components and {'' if spec.has_jumps else 'no '}jumps"
         )
+    te = real.event_times
+    # A NaN fails every comparison, so it is refused wherever it stands.
+    if len(real.event_marks) != count or count and not (
+        te[0] > 0 and te[-1] <= real.horizon and np.all(np.diff(te) > 0)
+    ):
+        raise ValueError(
+            f"realization events need strictly increasing times in (0, {real.horizon}] and one "
+            f"mark row each, got times {te.tolist()} and {len(real.event_marks)} mark rows"
+        )
     times = real.grid.tolist()
-    cut = np.searchsorted(real.event_times, real.grid, side="right").tolist()
-    events = list(zip(real.event_times.tolist(), real.event_marks))
+    cut = np.searchsorted(te, real.grid, side="right").tolist()
+    events = list(zip(te.tolist(), real.event_marks))
     return [
         (times[k], times[k + 1], dw, events[cut[k] : cut[k + 1]])
         for k, dw in enumerate(real.wiener_increments.tolist())

@@ -8,8 +8,7 @@ propagate to the CLI as exit 1.
 Artifacts are byte-reproducible for a fixed config and seed: every
 replication draws from its own counter-based stream, replications run
 serially in one process in index order, and the only non-reproducible value
-is the timestamp, isolated in one metadata key.  The config's `threads`
-value is accepted and has no effect.
+is the timestamp, isolated in one metadata key.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .gronwall import (
 from .models import build_model, build_noise, exact_terminal
 from .paths import path_csv_lines
 from .solver import euler_solve, strong_convergence
-from .streams import stream
 
 __all__ = ["run_experiment"]
 
@@ -58,7 +56,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
     spec = build_noise(**o["noise"])
     reps = o["replications"]
     paths = [
-        euler_solve(model, spec, o["n"], o["T"], stream(cfg.seed, r), replication=r)
+        euler_solve(model, spec, o["n"], o["T"], (cfg.seed, r), replication=r)
         for r in range(reps)
     ]
     with open(out / "trajectories.csv", "w") as fh:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ExplosionError, ModelError
 from .noise import Z_TWO_SIDED, MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries, _cells
 from .paths import CadlagPath, PathBuilder, sup_distance
-from .streams import stream
 
 __all__ = [
     "CoefficientModel",
@@ -120,11 +119,11 @@ def euler_solve(
 ) -> CadlagPath:
     """Euler approximation on [-tau, T], equal to the initial segment on [-tau, 0].
 
-    The realization defaults to a fresh sample on the Euler grid; a given
-    one must live on that same grid (coupled resolutions aggregate shared
-    noise with coarsen_noise first), so cell k of the solve is cell k of the
-    realization.  Deterministic given the stream.  Raises ExplosionError if
-    the state is not finite.
+    The realization defaults to a fresh sample on the Euler grid from
+    stream_id = (seed, index); a given one must live on that same grid
+    (coupled resolutions aggregate shared noise with coarsen_noise first), so
+    cell k of the solve is cell k of the realization.  Deterministic given
+    the stream.  Raises ExplosionError if the state is not finite.
     """
     grid = euler_grid(n, T)
     if realization is None:
@@ -221,7 +220,7 @@ def resolution_gap(
     factor = m // n
     hits = 0
     for r in range(replications):
-        fine = sample_noise(spec, euler_grid(m, T), stream(seed, r))
+        fine = sample_noise(spec, euler_grid(m, T), (seed, r))
         x_fine = euler_solve(model, spec, m, T, realization=fine, replication=r)
         x_coarse = euler_solve(
             model, spec, n, T, realization=coarsen_noise(fine, factor), replication=r
@@ -265,7 +264,7 @@ def strong_convergence(
         raise ValueError(f"need at least 2 replications for a standard error, got {replications}")
     errs = np.zeros((len(ns), replications))
     for r in range(replications):
-        fine = sample_noise(spec, euler_grid(finest, T), stream(seed, r))
+        fine = sample_noise(spec, euler_grid(finest, T), (seed, r))
         target = np.atleast_1d(exact_terminal(fine))
         for j, nv in enumerate(ns):
             real = coarsen_noise(fine, finest // nv)

@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["stream", "as_generator", "KEY_LIMIT", "QUADRATURE_STREAM"]
+__all__ = ["stream", "KEY_LIMIT", "QUADRATURE_STREAM"]
 
 # Seeds and stream indices are Philox key words: integers in [0, 2**64).
 KEY_LIMIT = 1 << 64
@@ -36,11 +36,3 @@ def stream(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def as_generator(stream_id) -> np.random.Generator:
-    """Accept either a ready Generator or a (seed, index) pair."""
-    if isinstance(stream_id, np.random.Generator):
-        return stream_id
-    if isinstance(stream_id, (tuple, list)) and len(stream_id) == 2:
-        return stream(*stream_id)
-    raise TypeError(f"expected Generator or (seed, index) pair, got {stream_id!r}")

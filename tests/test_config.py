@@ -30,7 +30,6 @@ def test_minimal_simulate_valid():
     cfg = parse_config(MINIMAL_SIMULATE)
     assert cfg.kind == "simulate"
     assert cfg.seed == 42
-    assert cfg.threads == 1
     assert cfg.options["n"] == 64
     assert cfg.options["replications"] == 100
 
@@ -275,7 +274,7 @@ def test_null_required_value_is_missing(base, key, tmp_path, capsys):
 
 def test_null_optional_value_takes_default():
     cfg = parse_config(MINIMAL_SIMULATE + "noise:\nmodel_params:\noutput:\nthreads:\n")
-    assert (cfg.threads, cfg.output) == (1, None)
+    assert cfg.output is None and "threads" not in cfg.options
     assert cfg.options["noise"] == {} and cfg.options["model_params"] == {}
 
 
@@ -396,7 +395,7 @@ def test_parse_never_crashes_and_never_yields_none(kind, changes):
         cfg = parse_config(text)
     except ConfigError:
         return
-    assert cfg.seed is not None and cfg.threads is not None
+    assert cfg.seed is not None
     assert all(v is not None for v in cfg.options.values())
 
 
@@ -412,7 +411,7 @@ MULTI_ERROR = {
         """
 kind: simulate
 model: linear
-model_params: {sigm: 0.3, delay: big}
+model_params: {sigm: 0.3, dim: big}
 noise: {wiener: -1, jump_rte: 2.0, mark_low: []}
 n: 0
 T: -1
@@ -428,7 +427,7 @@ extra: 1
             "'threads' must be >= 1, got 0",
             "'output' must be a string path, got 7",
             "model 'linear' does not take parameter 'sigm' (did you mean 'sigma'?)",
-            "model parameter 'delay' must be a number, got 'big'",
+            "model parameter 'dim' must be a number, got 'big'",
             "unknown noise key 'jump_rte' (did you mean 'jump_rate'?)",
             "noise 'wiener' must be an integer >= 0, got -1",
             "noise 'mark_low' must be a number or list of numbers, got []",
@@ -583,3 +582,63 @@ def test_an_empty_list_that_would_check_nothing_is_refused(text, problem, tmp_pa
     cfg.write_text(text)
     assert cli_main(["validate", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
+def test_threads_is_checked_and_dropped():
+    # Runs are serial: the key is accepted, reaches no option, and sets nothing.
+    cfg = parse_config(MINIMAL_SIMULATE + "threads: 4\n")
+    assert "threads" not in cfg.options and not hasattr(cfg, "threads")
+
+
+ENVELOPE = {
+    "rate_bound": (
+        "geometric-jump", "{}", "{wiener: 1, jump_rate: 16}",
+        ["model parameter 'rate_bound' defaults to 2.0, below noise 'jump_rate' 16; set it to at least that"],
+    ),
+    "mark_sq_bound": (
+        "geometric-jump", "{mark_mean: 1.0}", "{wiener: 1, jump_rate: 2, mark_high: 2}",
+        ["model parameter 'mark_sq_bound' defaults to 1.0, below the largest squared first mark "
+         "coordinate 4; set it to at least that"],
+    ),
+    "negative-mark": (
+        "geometric-jump", "{mark_mean: -0.5}", "{jump_rate: 2, mark_low: [-3, 0], mark_high: [2, 5]}",
+        ["model parameter 'mark_sq_bound' defaults to 1.0, below the largest squared first mark "
+         "coordinate 9; set it to at least that"],
+    ),
+    "both": (
+        "geometric-jump", "{mark_mean: 1.0}", "{jump_rate: 16, mark_high: 2}",
+        ["model parameter 'rate_bound' defaults to 2.0, below noise 'jump_rate' 16; set it to at least that",
+         "model parameter 'mark_sq_bound' defaults to 1.0, below the largest squared first mark "
+         "coordinate 4; set it to at least that"],
+    ),
+    "jump_rate_bound": (
+        "linear", "{}", "{wiener: 1, jump_rate: 16}",
+        ["model parameter 'jump_rate_bound' defaults to 0.0, below noise 'jump_rate' 16; set it to at least that"],
+    ),
+}
+
+
+@pytest.mark.parametrize("model, params, noise, problems", ENVELOPE.values(), ids=ENVELOPE.keys())
+def test_check_conditions_refuses_a_default_envelope_the_noise_outgrows(model, params, noise, problems, tmp_path):
+    # Each validated OK, then the checks reported violations of envelopes
+    # that described other noise (16 C1, C2 and C4 for the first).
+    text = CHECK_CONDITIONS.replace("geometric-jump", model) + f"model_params: {params}\nnoise: {noise}\n"
+    assert problems_of(text) == problems
+    assert validate_exit(text, tmp_path) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a given envelope is the hypothesis the checks falsify
+        CHECK_CONDITIONS + "model_params: {rate_bound: 3.0}\nnoise: {jump_rate: 16}\n",
+        CHECK_CONDITIONS + "model_params: {rate_bound: 16, mark_sq_bound: 0.01}\nnoise: {jump_rate: 16}\n",
+        CHECK_CONDITIONS.replace("geometric-jump", "linear") + "model_params: {jump_rate_bound: 16}\n"
+        "noise: {jump_rate: 16}\n",
+        # envelopes matter only to check-conditions
+        MINIMAL_SIMULATE.replace("gbm", "linear") + "model_params: {dim: 2}\nnoise: {wiener: 2, jump_rate: 2.0}\n",
+    ],
+    ids=["given-rate-bound", "given-mark-bound", "linear-covered", "simulate"],
+)
+def test_envelope_rule_leaves_given_values_and_other_kinds(text):
+    parse_config(text)

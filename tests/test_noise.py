@@ -14,10 +14,10 @@ import pytest
 
 import sdelab as s
 from sdelab.errors import NoiseSpecError
-from sdelab.models import build_noise, gbm
-from sdelab.streams import as_generator
+from sdelab.models import build_noise, gbm, geometric_jump
 
 GRID = np.linspace(0.0, 1.0, 5)
+ONE_WIENER = s.MartingaleMeasureSpec(wiener_count=1)
 
 
 def jump_spec(rate=1.0, bound=None):
@@ -320,12 +320,16 @@ class TestCovariation:
     [
         (lambda: s.MartingaleMeasureSpec(wiener_count=1).compensator_nodes, NoiseSpecError,
          "mark distribution is not samplable"),
-        (lambda: as_generator(7), TypeError, r"expected Generator or \(seed, index\) pair, got 7"),
-        (lambda: as_generator((2.9, 0)), TypeError, "'float' object cannot be interpreted as an integer"),
-        (lambda: as_generator(("3", 0)), TypeError, "'str' object cannot be interpreted as an integer"),
+        (lambda: s.sample_noise(ONE_WIENER, GRID, 7), TypeError, r"must be an iterable, not int"),
+        (lambda: s.sample_noise(ONE_WIENER, GRID, s.stream(7, 0)), TypeError,
+         "must be an iterable, not .*Generator"),
+        (lambda: s.sample_noise(ONE_WIENER, GRID, (2.9, 0)), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: s.sample_noise(ONE_WIENER, GRID, ("3", 0)), TypeError,
+         "'str' object cannot be interpreted as an integer"),
         (lambda: s.stream(0, 2**64), ValueError, r"must lie in \[0, 2\*\*64\)"),
     ],
-    ids=["nodes-without-sampler", "bare-int", "float-key", "string-key", "key-range"],
+    ids=["nodes-without-sampler", "bare-int", "generator", "float-key", "string-key", "key-range"],
 )
 def test_noise_and_stream_rejections(use, error, problem):
     # A float key word was truncated by int(), so (2.9, 0) replayed seed 2,
@@ -338,3 +342,35 @@ def test_a_float_stream_key_does_not_replay_another_seed():
     with pytest.raises(TypeError):
         s.euler_solve(gbm(), s.MartingaleMeasureSpec(wiener_count=1), 4, 1.0, (2.9, 0))
     assert s.stream(np.int64(3), np.uint64(0)).random() == s.stream(3, 0).random()
+
+
+BAD_EVENTS = {
+    "at-zero": ([0.0], [0.5]),
+    "past-horizon": ([1.5], [0.5]),
+    "nan-time": ([0.3, np.nan], [0.5, 0.5]),
+    "unsorted": ([0.6, 0.3], [0.5, 0.5]),
+    "missing-mark": ([0.3, 0.6], [0.5]),
+}
+JUMPS = build_noise(wiener=1, jump_rate=1.0)
+
+
+@pytest.mark.parametrize("times, marks", BAD_EVENTS.values(), ids=BAD_EVENTS.keys())
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda real: s.euler_solve(
+            geometric_jump(mu=0.0, sigma=0.0, gamma=0.5), JUMPS, 4, 1.0, realization=real
+        ),
+        lambda real: s.integrate(lambda t, mark: np.ones(1), JUMPS, real),
+    ],
+    ids=["euler_solve", "integrate"],
+)
+def test_events_outside_every_cell_are_refused(use, times, marks):
+    # These events were dropped without a word (unsorted ones failed late,
+    # in PathBuilder.append): the solve ignored an event at 1.5 on [0, 1]
+    # that the closed-form endpoint of the same realization counts.
+    real = s.NoiseRealization(
+        GRID, np.zeros((GRID.size - 1, 1)), np.array(times), np.array(marks).reshape(-1, 1)
+    )
+    with pytest.raises(ValueError, match=r"strictly increasing times in \(0, 1.0\] and one mark row each"):
+        use(real)

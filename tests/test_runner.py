@@ -105,9 +105,7 @@ class TestSimulate:
             "seed: 77\nnoise: {wiener: 1, jump_rate: 2.0}\n"
         )
         outs = [tmp_path / f"run{i}" for i in range(3)]
-        assert run(text, outs[0], threads=1) == 0
-        assert run(text, outs[1], threads=1) == 0
-        assert run(text, outs[2], threads=4) == 0
+        assert [run(text, o) for o in outs] == [0, 0, 0]
         csv0 = (outs[0] / "trajectories.csv").read_bytes()
         assert csv0 == (outs[1] / "trajectories.csv").read_bytes()
         assert csv0 == (outs[2] / "trajectories.csv").read_bytes()
@@ -259,18 +257,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "source, value, problem",
         [
-            ("--threads", "-5", "must be >= 1, got -5"),
-            ("SDE_THREADS", "0", "must be >= 1, got 0"),
             ("--seed", "abc", "must be an integer, got 'abc'"),
             ("SDE_SEED", "abc", "must be an integer, got 'abc'"),
-            ("--threads", "1.5", "must be an integer, got '1.5'"),
-            ("SDE_THREADS", "1.5", "must be an integer, got '1.5'"),
         ],
     )
     def test_override_takes_the_config_check(self, source, value, problem, tmp_path, monkeypatch, capsys):
-        # Thread counts used to be clamped to 1 and run; a flag that is not
-        # an integer was an argparse usage error with exit code 2, the code
-        # of a detected violation.
+        # A flag that is not an integer was an argparse usage error with
+        # exit code 2, the code of a detected violation.
         cfg = tmp_path / "c.yaml"
         cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 5\n")
         out = tmp_path / "o"
@@ -282,6 +275,25 @@ class TestCli:
         assert cli_main(args) == 1
         assert capsys.readouterr().err == f"config error: '{source}' {problem}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, problem",
+        [
+            (["run", "{cfg}", "--sed", "5"], "unrecognized arguments: --sed 5"),
+            (["run", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "threads-flag", "no-command"],
+    )
+    def test_usage_error_exits_1(self, args, problem, tmp_path, capsys):
+        # argparse exits 2, the code of a detected violation.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 5\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([a.format(cfg=cfg) for a in args])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sde ") and err.endswith(f"sde: error: {problem}\n")
 
     def test_seed_flag_wins_over_a_bad_environment_seed(self, tmp_path, monkeypatch):
         # The environment is read only when the flag is absent.
@@ -324,15 +336,11 @@ class TestCli:
         cfg = tmp_path / "c.yaml"
         cfg.write_text("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 0\nseed: 5\n")
         monkeypatch.setenv("SDE_SEED", "abc")
-        monkeypatch.setenv("SDE_THREADS", "0")
         assert cli_main(["validate", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "config error: 'SDE_SEED' must be an integer, got 'abc'\n"
         )
         monkeypatch.setenv("SDE_SEED", "7")
-        assert cli_main(["validate", str(cfg)]) == 1
-        assert capsys.readouterr().err == "config error: 'SDE_THREADS' must be >= 1, got 0\n"
-        monkeypatch.setenv("SDE_THREADS", "2")
         assert cli_main(["validate", str(cfg)]) == 0
         assert capsys.readouterr().out == "OK: simulate experiment, seed 7\n"
 

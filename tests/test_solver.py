@@ -194,7 +194,7 @@ class TestEulerSolve:
         spec = jump_diffusion_spec(2.0)
         model = geometric_jump()
         vals = np.array([
-            s.euler_solve(model, spec, 32, 1.0, s.stream(77, r)).value_at(1.0)[0]
+            s.euler_solve(model, spec, 32, 1.0, (77, r)).value_at(1.0)[0]
             for r in range(4000)
         ])
         target = math.exp(0.05)

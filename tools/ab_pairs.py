@@ -5,8 +5,11 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so a drift of
 the machine's speed falls on both sides alike.  Prints every pair's wall_s
-and peak_rss_mb, the two medians, the parent's quartile distance and how
-many pairs the change won.  Standard library only; each checkout gets only
+and peak_rss_mb, then, for each end-to-end metric of the parent's
+BENCHMARK.json, the two medians, the parent's quartile distance and WORSE
+where the change's median is worse than the parent's by more than the
+metric's bound (a share of the parent's median), and how many pairs the
+change won on wall_s.  Standard library only; each checkout gets only
 run.py's own records under perfbench/out/.
 """
 
@@ -37,6 +40,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10.0)
     args = ap.parse_args(argv)
+    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": [], "change": []}
     for k in range(args.pairs):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -44,11 +48,16 @@ def main(argv=None) -> int:
         a, b = sides["parent"][-1], sides["change"][-1]
         print(f"pair {k}: wall_s {a['wall_s']:.3f} -> {b['wall_s']:.3f}   "
               f"peak_rss_mb {a['peak_rss_mb']:.2f} -> {b['peak_rss_mb']:.2f}", flush=True)
-    walls = {side: [m["wall_s"] for m in runs] for side, runs in sides.items()}
-    wins = sum(b < a for a, b in zip(walls["parent"], walls["change"]))
-    q = statistics.quantiles(walls["parent"], n=4) if args.pairs > 1 else [0.0, 0.0, 0.0]
-    print(f"median wall_s: parent {statistics.median(walls['parent']):.3f} (IQR {q[2] - q[0]:.3f}), "
-          f"change {statistics.median(walls['change']):.3f}; change faster in {wins} of {args.pairs} pairs")
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent, change = ([runs[name] for runs in sides[side]] for side in ("parent", "change"))
+        q = statistics.quantiles(parent, n=4) if args.pairs > 1 else [0.0, 0.0, 0.0]
+        base, new = statistics.median(parent), statistics.median(change)
+        worse = sign * (new - base) > metric["bound"] * abs(base)
+        print(f"median {name}: parent {base:.4g} (IQR {q[2] - q[0]:.3g}), change {new:.4g}, "
+              f"bound {metric['bound']:.0%}{'  WORSE' if worse else ''}")
+    wins = sum(b["wall_s"] < a["wall_s"] for a, b in zip(sides["parent"], sides["change"]))
+    print(f"change faster on wall_s in {wins} of {args.pairs} pairs")
     return 0
 
 
