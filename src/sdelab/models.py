@@ -77,12 +77,21 @@ def delay_ode() -> CoefficientModel:
     )
 
 
-def linear(sigma: float = 0.5, dim: int = 1, jump_rate_bound: float = 0.0) -> CoefficientModel:
+def linear(
+    sigma: float = 0.5, dim: int = 1, jump_rate_bound: float = 0.0, wiener_bound: int = 1
+) -> CoefficientModel:
     """Contracting drift f = -x(t-) with constant noise amplitude sigma.
 
-    The drift difference term is non-positive, so the monotonicity envelope 2
-    is generous and the coercivity envelope is the constant jump/diffusion
-    term sigma^2 * (wiener + lambda_bar).
+    g is the row (sigma, ..., sigma) of length dim at every Wiener index and
+    every mark, so |g|^2 = sigma^2 dim and, with at most wiener_bound Wiener
+    components and a jump rate at most jump_rate_bound,
+
+        int |g|^2 nu_t = sigma^2 dim (wiener + lambda(t))
+                      <= sigma^2 dim (wiener_bound + jump_rate_bound) = k.
+
+    C1: g does not depend on the path and 2 <x - y, -(x - y)> <= 0, so the
+    monotonicity envelope 2 is generous.  C2: 2 <x, -x> <= 0, so K = k.
+    C4: |f| <= R on the ball of radius R, so K~_R = R + k.
     """
 
     def drift(t, h):
@@ -91,7 +100,7 @@ def linear(sigma: float = 0.5, dim: int = 1, jump_rate_bound: float = 0.0) -> Co
     def jump(t, h, mark):
         return np.full(dim, sigma)
 
-    k_const = sigma * sigma * dim * (1.0 + jump_rate_bound)
+    k_const = sigma * sigma * dim * (wiener_bound + jump_rate_bound)
     return CoefficientModel(
         dim=dim,
         delay=1.0,
@@ -133,8 +142,22 @@ def superlinear_bad() -> CoefficientModel:
     )
 
 
-def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5) -> CoefficientModel:
-    """Pure-jump model dX = gamma * xi dM~: additive marks, closed-form compensator."""
+def additive_jumps(
+    gamma: float = 1.0, mark_mean: float = 0.5, jump_rate_bound: float = 2.0, mark_sq_bound: float = 1.0
+) -> CoefficientModel:
+    """Pure-jump model dX = gamma * xi dM~: additive marks, closed-form compensator.
+
+    f = 0 and g is 0 at every Wiener index and gamma * xi_1 at a mark, so
+    with a jump rate at most jump_rate_bound and xi_1^2 at most
+    mark_sq_bound (a sure bound, as in geometric_jump; defaults: uniform
+    marks on [0, 1], lambda <= 2),
+
+        int |g|^2 nu_t = lambda(t) gamma^2 E[xi_1^2]
+                      <= gamma^2 jump_rate_bound mark_sq_bound = k.
+
+    C1: g does not depend on the path, so L = 0.  C2: K = k, as f = 0.
+    C4: K~_R = k, for the same reason.
+    """
 
     def drift(t, h):
         return np.zeros(1)
@@ -144,6 +167,7 @@ def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5) -> CoefficientMod
             return np.zeros(1)
         return gamma * mark[:1]
 
+    k_const = gamma * gamma * jump_rate_bound * mark_sq_bound
     return CoefficientModel(
         dim=1,
         delay=1.0,
@@ -152,8 +176,8 @@ def additive_jumps(gamma: float = 1.0, mark_mean: float = 0.5) -> CoefficientMod
         initial=constant_path(0.0, -1.0, 0.0),
         compensator=lambda t, h: np.array([gamma * mark_mean]),
         lipschitz_rate=lambda t, R: 0.0,
-        growth_rate=lambda t: 1.0,
-        bound_rate=lambda t, R: 1.0 + gamma * gamma,
+        growth_rate=lambda t: k_const,
+        bound_rate=lambda t, R: k_const,
         name="additive-jumps",
     )
 
@@ -176,12 +200,15 @@ def geometric_jump(
     [0,1], lambda <= 2).
     """
 
+    # 0-d arrays: numpy multiplies a row by one about twice as fast as by a Python float, same product.
+    mu_, sigma_, comp_ = (np.array(v, dtype=float) for v in (mu, sigma, gamma * mark_mean))
+
     def drift(t, h):
-        return mu * h.value_at(t)
+        return mu_ * h.value_at(t)
 
     def jump(t, h, mark):
         if isinstance(mark, (int, np.integer)):
-            return sigma * h.value_at(t)
+            return sigma_ * h.value_at(t)
         return gamma * float(mark[0]) * h.value_at(t)
 
     noise_l2 = sigma * sigma + gamma * gamma * rate_bound * mark_sq_bound
@@ -192,7 +219,7 @@ def geometric_jump(
         drift=drift,
         jump=jump,
         initial=constant_path(x0, -1.0, 0.0),
-        compensator=lambda t, h: gamma * mark_mean * h.value_at(t),
+        compensator=lambda t, h: comp_ * h.value_at(t),
         lipschitz_rate=lambda t, R: lip,
         growth_rate=lambda t: lip,
         bound_rate=lambda t, R: abs(mu) * R + noise_l2 * R * R,
@@ -312,21 +339,22 @@ def noise_problems(name: str, model_params: dict, noise: dict) -> list:
 def envelope_problems(name: str, model_params: dict, noise: dict) -> list:
     """The defaulted rate envelope parameters of model `name` that its noise outgrows.
 
-    With jumps on, a jump-rate bound (rate_bound, jump_rate_bound) must be
-    at least jump_rate, and mark_sq_bound at least the square of the first
-    mark coordinate at either end of [mark_low, mark_high].  A value given in
+    wiener_bound must be at least the Wiener count.  With jumps on, a
+    jump-rate bound (rate_bound, jump_rate_bound) must be at least
+    jump_rate, and mark_sq_bound at least the square of the first mark
+    coordinate at either end of [mark_low, mark_high].  A value given in
     model_params is the envelope under test and is left to the checks.
     """
     s = _settings(name, model_params, noise)
-    if s["jump_rate"] <= 0:
-        return []
-    low, high = _first_mark_bounds(s)
-    rate = ("noise 'jump_rate'", s["jump_rate"])
-    needs = {
-        "rate_bound": rate,
-        "jump_rate_bound": rate,
-        "mark_sq_bound": ("the largest squared first mark coordinate", max(low * low, high * high)),
-    }
+    needs = {"wiener_bound": ("noise 'wiener'", s["wiener"])}
+    if s["jump_rate"] > 0:
+        low, high = _first_mark_bounds(s)
+        rate = ("noise 'jump_rate'", s["jump_rate"])
+        needs |= {
+            "rate_bound": rate,
+            "jump_rate_bound": rate,
+            "mark_sq_bound": ("the largest squared first mark coordinate", max(low * low, high * high)),
+        }
     return [
         f"model parameter '{k}' defaults to {s[k]!r}, below {what} {need!r}; set it to at least that"
         for k, (what, need) in needs.items()

@@ -24,6 +24,10 @@ from .errors import PathDomainError
 
 __all__ = ["CadlagPath", "constant_path", "PathBuilder", "sup_distance", "write_path_csv"]
 
+# Bound once: a frozen view is built per Euler cell, and these names are
+# then not looked up on `object` five times a view.
+_new, _set = object.__new__, object.__setattr__
+
 
 @dataclass(frozen=True)
 class CadlagPath:
@@ -55,21 +59,21 @@ class CadlagPath:
             raise ValueError(f"jump times {jumps} must be breakpoints after the start")
         bp.setflags(write=False)
         vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "jump_times", jumps)
-        object.__setattr__(self, "_tail", float(bp[-1]))
+        _set(self, "breakpoints", bp)
+        _set(self, "values", vals)
+        _set(self, "end", end)
+        _set(self, "jump_times", jumps)
+        _set(self, "_tail", float(bp[-1]))
 
     @classmethod
     def _trusted(cls, breakpoints, values, end, jump_times=(), tail=None) -> "CadlagPath":
         """Construct without validation.  Internal use on arrays the builder already owns."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "breakpoints", breakpoints)
-        object.__setattr__(p, "values", values)
-        object.__setattr__(p, "end", end)
-        object.__setattr__(p, "jump_times", jump_times)
-        object.__setattr__(p, "_tail", float(breakpoints[-1]) if tail is None else tail)
+        p = _new(cls)
+        _set(p, "breakpoints", breakpoints)
+        _set(p, "values", values)
+        _set(p, "end", end)
+        _set(p, "jump_times", jump_times)
+        _set(p, "_tail", float(breakpoints[-1]) if tail is None else tail)
         return p
 
     # -- basic geometry ------------------------------------------------
@@ -165,7 +169,7 @@ class PathBuilder:
         self._n = m
         self._last = float(seed_path.breakpoints[-1])
         self._end = float(end)
-        self._jumps: list[float] = list(seed_path.jump_times)
+        self._jumps = seed_path.jump_times      # a tuple, so freeze shares it without a copy
 
     def append(self, t: float, value: np.ndarray, *, jump: bool = False):
         if t <= self._last:
@@ -175,12 +179,12 @@ class PathBuilder:
         self._n += 1
         self._last = t
         if jump:
-            self._jumps.append(float(t))
+            self._jumps += (float(t),)
 
     def freeze(self) -> CadlagPath:
         """Frozen view of everything appended so far, on the full domain."""
         return CadlagPath._trusted(
-            self._bp[: self._n], self._vals[: self._n], self._end, tuple(self._jumps), self._last
+            self._bp[: self._n], self._vals[: self._n], self._end, self._jumps, self._last
         )
 
     def finish(self) -> CadlagPath:

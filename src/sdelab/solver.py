@@ -90,15 +90,26 @@ def euler_grid(n: int, T: float) -> np.ndarray:
     return np.arange(euler_steps(n, T) + 1) / n
 
 
+_F64 = np.dtype(float)
+_NO_MARK = object()
+
+
 def _wrap_coefficient(fn, label, dim, replication=None):
     """fn with its value as a float row of length dim: a failure, or a value of
-    another size, raises ModelError with the label, t and the replication."""
-    shape = (dim,)
+    another size, raises ModelError with the label, t and the replication.
 
-    def call(t, *args):
+    Called as (t, h), or as (t, h, mark) for the jump.  A native float64
+    ndarray of shape (dim,) is returned as it is; any other value becomes
+    np.asarray(value, dtype=float).reshape(dim).
+    """
+    shape, ndarray = (dim,), np.ndarray
+
+    def call(t, h, mark=_NO_MARK):
         try:
-            row = np.asarray(fn(t, *args), dtype=float)
-            return row if row.shape == shape else row.reshape(shape)
+            v = fn(t, h) if mark is _NO_MARK else fn(t, h, mark)
+            if type(v) is ndarray and v.shape == shape and v.dtype is _F64:
+                return v
+            return np.asarray(v, dtype=float).reshape(shape)
         except ModelError:
             raise
         except Exception as exc:
@@ -142,11 +153,11 @@ def euler_solve(
     builder = PathBuilder(model.initial, float(grid[-1]), appends)
     x = np.array(model.initial.value_at(0.0), dtype=float)
 
-    for s0, s1, dw, events in _cells(spec, realization):
+    for s0, s1, ds, dw, events in _cells(spec, realization):
         frozen = builder.freeze()
         u = s0
-        for t, delta, is_jump in _cell_entries(g, comp, frozen, spec, s0, s1, dw, events):
-            x = x + f(u, frozen) * (t - u)
+        for t, dt, delta, is_jump in _cell_entries(g, comp, frozen, spec, s0, s1, ds, dw, events):
+            x = x + f(u, frozen) * dt
             if delta is not None:
                 x = x + delta
             builder.append(t, x, jump=is_jump)

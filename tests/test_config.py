@@ -642,3 +642,30 @@ def test_check_conditions_refuses_a_default_envelope_the_noise_outgrows(model, p
 )
 def test_envelope_rule_leaves_given_values_and_other_kinds(text):
     parse_config(text)
+
+
+ENVELOPE_GAPS = {
+    "linear-two-wiener": (
+        "linear", "{wiener: 2}", "{wiener_bound: 2}",
+        "model parameter 'wiener_bound' defaults to 1, below noise 'wiener' 2; set it to at least that",
+    ),
+    "additive-jumps-rate-8": (
+        "additive-jumps", "{wiener: 1, jump_rate: 8}", "{jump_rate_bound: 8}",
+        "model parameter 'jump_rate_bound' defaults to 2.0, below noise 'jump_rate' 8; set it to at least that",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, noise, params, problem", ENVELOPE_GAPS.values(), ids=ENVELOPE_GAPS.keys())
+def test_the_envelope_bound_a_model_lacked_is_refused_by_default_and_passes_when_set(
+    model, noise, params, problem, tmp_path
+):
+    # Each validated OK and its checks then exited 2: 2 C4 violations for
+    # linear, 2 C2 and 16 C4 for additive-jumps, whose envelopes had no
+    # parameter for the second Wiener component or for the jump rate.
+    text = (f"kind: check-conditions\nmodel: {model}\nconditions: [C1, C2, C4]\nradius: 10\n"
+            f"samples: 300\nseed: 1\nnoise: {noise}\n")
+    assert problems_of(text) == [problem]
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text + f"model_params: {params}\n")
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0

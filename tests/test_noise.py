@@ -374,3 +374,19 @@ def test_events_outside_every_cell_are_refused(use, times, marks):
     )
     with pytest.raises(ValueError, match=r"strictly increasing times in \(0, 1.0\] and one mark row each"):
         use(real)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda spec: spec.rate(0.5),
+        lambda spec: s.sample_noise(spec, GRID, (1, 0)),
+        lambda spec: s.euler_solve(geometric_jump(), spec, 4, 1.0, (1, 0)),
+    ],
+    ids=["rate", "sample_noise", "euler_solve"],
+)
+def test_a_nan_intensity_is_refused(use):
+    # rate returned nan, which fails both `< 0` and `> bound`, and thinning
+    # then kept none of the candidate events on [0, 1] without a word.
+    with pytest.raises(NoiseSpecError, match=r"intensity lambda\(.*\) = nan is not a number"):
+        use(jump_spec(rate=math.nan, bound=4.0))

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdelab as s
 from sdelab.errors import ExplosionError, ModelError
@@ -21,7 +22,7 @@ from sdelab.models import (
     geometric_jump_exact_terminal,
 )
 from sdelab.paths import constant_path
-from sdelab.solver import euler_steps
+from sdelab.solver import _wrap_coefficient, euler_steps
 
 NO_NOISE = s.MartingaleMeasureSpec(wiener_count=0)
 ONE_WIENER = s.MartingaleMeasureSpec(wiener_count=1)
@@ -470,3 +471,104 @@ def test_solver_rejections(use, error, problem):
 def test_model_rejections(use, problem):
     with pytest.raises(ValueError, match=problem):
         use()
+
+
+def float_recursion(x0, mu, sigma, gamma, gm, lam, grid, dw, events):
+    """The Euler path of geometric_jump in Python floats, in the documented order.
+
+    Every coefficient reads xs, the state at the cell start.  Each entry adds
+    x + (mu xs) (t - u), then its delta: (sigma xs) dW + (-lam (gm xs)) (t - u)
+    at the cell end, (gamma xi) xs + piece at an event, and an event on the
+    grid point takes the cell's Wiener part too.  lam is None without jumps.
+    """
+    times, values, x = [-1.0], [x0], x0
+    for s0, s1, dwk in zip(grid, grid[1:], dw):
+        xs, u = x, s0
+        wiener = (sigma * xs) * dwk
+        for te, xi in [(te, xi) for te, xi in events if s0 < te <= s1]:
+            delta = (gamma * xi) * xs + (-lam * (gm * xs)) * (te - u)
+            if te == s1:
+                delta = delta + wiener
+            x = x + (mu * xs) * (te - u)
+            x = x + delta
+            times.append(te)
+            values.append(x)
+            u = te
+        if u < s1:
+            delta = wiener if lam is None else wiener + (-lam * (gm * xs)) * (s1 - u)
+            x = x + (mu * xs) * (s1 - u)
+            x = x + delta
+            times.append(s1)
+            values.append(x)
+    return times, values
+
+
+@pytest.mark.parametrize("jumps", [False, True], ids=["gbm", "geometric-jump"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_euler_solve_is_the_float_recursion_bit_for_bit(jumps, data):
+    # Pins the association of every product and sum in the cell walk.
+    unit = st.floats(-1.0, 1.0)
+    n, T = data.draw(st.integers(1, 6)), float(data.draw(st.integers(1, 2)))
+    mu, sigma, x0 = data.draw(unit), data.draw(unit), data.draw(st.floats(0.5, 2.0))
+    grid = s.euler_grid(n, T).tolist()
+    dw = data.draw(st.lists(unit, min_size=len(grid) - 1, max_size=len(grid) - 1))
+    if jumps:
+        gamma, lam = data.draw(unit), data.draw(st.floats(0.5, 8.0))
+        # one event exactly on a grid point, the others anywhere in (0, T]
+        times = {data.draw(st.sampled_from(grid[1:]))}
+        times |= set(data.draw(st.lists(st.floats(0.0, T, exclude_min=True), max_size=6)))
+        times = sorted(times)
+        marks = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+        model = geometric_jump(mu, sigma, gamma, mark_mean=0.5, rate_bound=lam, x0=x0)
+        spec = build_noise(wiener=1, jump_rate=lam)
+        events = list(zip(times, marks))
+    else:
+        gamma, lam, times, marks, events = 0.0, None, [], [], []
+        model, spec = gbm(mu, sigma, x0), build_noise(wiener=1)
+    real = s.NoiseRealization(
+        np.array(grid), np.array(dw)[:, None], np.array(times, dtype=float),
+        np.array(marks, dtype=float).reshape(-1, 1),
+    )
+    x = s.euler_solve(model, spec, n, T, realization=real)
+    ref_times, ref_values = float_recursion(x0, mu, sigma, gamma, gamma * 0.5, lam, grid, dw, events)
+    assert x.breakpoints.tolist() == ref_times
+    assert x.values[:, 0].tolist() == ref_values
+    assert x.jump_times == tuple(times)
+
+
+class Row(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, dim",
+    [
+        ([1.5], 1),
+        ([1.5, -2.0], 2),
+        (np.array([3]), 1),
+        (np.array([3, -4]), 2),
+        (np.array([1.5, 0.1], dtype=">f8"), 2),
+        (np.array([[0.1]]), 1),
+        (np.array([0.1, 2.5]).view(Row), 2),
+        (0.1, 1),
+    ],
+    ids=["list", "list-2", "int-array", "int-array-2", "big-endian", "1x1", "subclass", "float"],
+)
+def test_a_coefficient_value_of_another_kind_is_converted_to_a_float_row(value, dim):
+    # Only a native float64 row of the model's dimension is passed through as it is.
+    want = np.asarray(value, dtype=float).reshape(dim)
+    for label, args in (("drift", (0.5, None)), ("jump", (0.5, None, 0))):
+        row = _wrap_coefficient(lambda *_: value, label, dim)(*args)
+        assert type(row) is np.ndarray and row.dtype == np.dtype(float) and row.dtype.isnative
+        assert row.shape == (dim,) and row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "label, args", [("drift", (0.25, None)), ("compensator", (0.25, None)), ("jump", (0.25, None, 0))]
+)
+@pytest.mark.parametrize("value", [np.zeros(3), [1.0], np.zeros((2, 2))], ids=["three", "list-of-one", "2x2"])
+def test_a_coefficient_value_of_another_size_is_a_model_error(label, args, value):
+    call = _wrap_coefficient(lambda *_: value, label, 2, replication=4)
+    with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25, replication=4\]$"):
+        call(*args)
