@@ -133,8 +133,8 @@ def _squared_mark_integral(jump, spec, t, x, y=None) -> float:
     """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks, g the wrapped jump."""
 
     def sq(mark):
-        diff = jump(t, x, mark) - (jump(t, y, mark) if y is not None else 0.0)
-        return float(diff @ diff)
+        v = jump(t, x, mark) if y is None else jump(t, x, mark) - jump(t, y, mark)
+        return float(v @ v)
 
     total = sum(map(sq, range(spec.wiener_count)), 0.0)
     if spec.has_jumps:

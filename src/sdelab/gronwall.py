@@ -123,7 +123,9 @@ class GronwallEnsemble:
     0, A(0) = 0 and A non-decreasing on the union of breakpoints) and the
     assumption inequality
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
-    replication; failing ensembles are rejected outright.
+    replication; failing ensembles are rejected outright.  A is read at every
+    point of every replication's grid up to the horizon.  A replication whose
+    X, M and H share one breakpoint array is read on that array with no union.
 
     h_predictable is a construction-time certificate, set only by generators
     that build H from deterministic or left-continuous data; it is not
@@ -148,31 +150,37 @@ class GronwallEnsemble:
         if not abs(self.clock(0.0)) <= 1e-12:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
 
+        clock, horizon = self.clock, self.horizon
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
-            if x.dimension != 1 or m.dimension != 1 or h.dimension != 1:
+            bp, xv, mv, hv = x.breakpoints, x.values, m.values, h.values
+            if xv.shape[1] != 1 or mv.shape[1] != 1 or hv.shape[1] != 1:
                 raise EnsembleError("ensemble paths must be scalar")
-            if x.start != 0.0 or m.start != 0.0 or h.start != 0.0:
+            if bp[0] != 0.0 or m.breakpoints[0] != 0.0 or h.breakpoints[0] != 0.0:
                 raise EnsembleError(f"replication {r}: ensemble paths must start at t=0")
-            if (x.values < 0).any():
+            if (xv < 0).any():
                 raise EnsembleError(f"replication {r}: X takes a negative value")
-            hv = h.values[:, 0]
+            hv = hv[:, 0]
             if hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any():
                 raise EnsembleError(f"replication {r}: H must be non-decreasing from H(0) >= 0")
-            if abs(float(m.values[0, 0])) > 1e-12:
+            if abs(float(mv[0, 0])) > 1e-12:
                 raise EnsembleError(f"replication {r}: M(0) must be 0")
+            if min(x.end, m.end, h.end) < horizon:
+                raise EnsembleError(f"replication {r}: paths end before the horizon {horizon}")
             # every path starts at 0, so the sorted union only needs its cut at the horizon
-            pts = np.unique(np.concatenate((x.breakpoints, m.breakpoints, h.breakpoints)))
-            pts = pts[: pts.searchsorted(self.horizon, "right")]
-            xs = x.values_at(pts)[:, 0]
-            a = np.array([self.clock(t) for t in pts.tolist()])
+            if m.breakpoints is bp and h.breakpoints is bp:
+                pts = bp[: bp.searchsorted(horizon, "right")]
+                k = pts.size
+                xs, ms, hs = xv[:k, 0], mv[:k, 0], hv[:k]
+            else:
+                pts = np.unique(np.concatenate((bp, m.breakpoints, h.breakpoints)))
+                pts = pts[: pts.searchsorted(horizon, "right")]
+                xs, ms, hs = x.values_at(pts)[:, 0], m.values_at(pts)[:, 0], h.values_at(pts)[:, 0]
+            a = np.array([clock(t) for t in pts.tolist()])
             da = a[1:] - a[:-1]
             if not (da >= 0).all():
                 j = int(np.argmin(da >= 0)) + 1
                 raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
-            integ = _running_sup_clock_integral(xs, da)
-            slack = integ + m.values_at(pts)[:, 0] + h.values_at(pts)[:, 0] - xs
-            if min(x.end, m.end, h.end) < self.horizon:
-                raise EnsembleError(f"replication {r}: paths end before the horizon {self.horizon}")
+            slack = _running_sup_clock_integral(xs, da) + ms + hs - xs
             if (slack < -_ASSUMPTION_TOL).any():
                 j = int(np.argmin(slack))
                 raise EnsembleError(
@@ -274,8 +282,9 @@ def _mean_stderr(samples) -> tuple[float, float]:
 
 def _sup_pairs(x_paths: Iterable[CadlagPath], g_paths: Iterable[CadlagPath]):
     """Stream (sup X, sup G) per replication; the two ensembles are paired by
-    index and consumed in lockstep, so generators stay memory-flat."""
-    for x, g in zip(x_paths, g_paths):
+    index and consumed in lockstep, so generators stay memory-flat.  When one
+    runs out before the other, zip raises ValueError."""
+    for x, g in zip(x_paths, g_paths, strict=True):
         yield x.window_sup(x.start, x.end), g.window_sup(g.start, g.end)
 
 

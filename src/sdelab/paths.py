@@ -47,7 +47,7 @@ class CadlagPath:
             raise ValueError(
                 f"need one value per segment: {bp.shape[0]} breakpoints vs {vals.shape[0]} values"
             )
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
@@ -55,7 +55,7 @@ class CadlagPath:
         if not end >= bp[-1]:
             raise ValueError(f"end={end} must be >= the last breakpoint {bp[-1]}")
         jumps = tuple(float(t) for t in self.jump_times)
-        if not set(jumps) <= set(bp[1:].tolist()):
+        if jumps and not set(jumps) <= set(bp[1:].tolist()):
             raise ValueError(f"jump times {jumps} must be breakpoints after the start")
         bp.setflags(write=False)
         vals.setflags(write=False)
@@ -138,7 +138,7 @@ class CadlagPath:
             self._check_domain(b)
         chunk = self.values[lo : hi + 1]
         if chunk.shape[1] == 1:
-            return float(np.max(np.abs(chunk)))
+            return float(abs(chunk).max())
         return float(np.sqrt(np.max(np.einsum("ij,ij->i", chunk, chunk))))
 
 

@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdelab as s
-from sdelab.errors import EnsembleError, PathDomainError
+from sdelab.errors import EnsembleError
 from sdelab.gronwall import _CHUNK
 from sdelab.streams import stream
 
@@ -187,11 +188,11 @@ class TestVerify:
             )
 
     def test_rejects_a_path_that_ends_before_the_last_point(self):
-        # H's breakpoint at 0.8 lies past the end of X: the union-grid lookup
-        # raises like value_at would.
+        # H's breakpoint at 0.8 lies past the end of X.  The ends are tested
+        # before any path is read on the union grid, so X is never read at 0.8.
         x = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 0.5)
         h = s.CadlagPath(np.array([0.0, 0.8]), np.array([[1.0], [2.0]]), 1.0)
-        with pytest.raises(PathDomainError, match=r"t=0.8 outside path domain \[0.0, 0.5\]"):
+        with pytest.raises(EnsembleError, match=r"^replication 0: paths end before the horizon 1.0$"):
             s.GronwallEnsemble([x], [ZERO], [h], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5)
 
     @pytest.mark.parametrize(
@@ -257,18 +258,19 @@ class TestVerify:
 
 
 def horizon_grid_ensemble(x=(1.0, 1.2, 2.0, 9.0), m=(0.0, 0.5), h=(1.5, 1.75, 3.0),
-                          clock=lambda u: 0.0, horizon=1.0):
+                          clock=lambda u: 0.0, horizon=1.0, x_bp=(0.0, 0.25, 1.0, 1.5), x_end=2.0,
+                          m_bp=(0.0, 0.5)):
     """X, M, H on three breakpoint sets; X has one at the horizon 1 and one past it.
 
     With the defaults X <= M + H holds through the horizon (slack 0.25 at
     t = 1) and fails at 1.5, past it.
     """
 
-    def path(bp, values):
-        return s.CadlagPath(np.array(bp), np.array(values)[:, None], 2.0)
+    def path(bp, values, end=2.0):
+        return s.CadlagPath(np.array(bp), np.array(values)[:, None], end)
 
     return s.GronwallEnsemble(
-        [path([0.0, 0.25, 1.0, 1.5], x)], [path([0.0, 0.5], m)], [path([0.0, 0.75, 1.25], h)],
+        [path(x_bp, x, x_end)], [path(m_bp, m)], [path([0.0, 0.75, 1.25], h)],
         s.MonotoneFunction(clock), horizon, 0.5,
     )
 
@@ -289,12 +291,92 @@ class TestHorizonCut:
             ({"x": (1.0, 1.2, 2.5, 9.0)},
              r"replication 0: assumption inequality fails at t=1 \(X=2.5 > bound=2.25\)$"),
             ({"horizon": 2.5}, "replication 0: paths end before the horizon 2.5$"),
+            ({"x_bp": (0.0,), "x": (1.0,), "x_end": 0.5, "m_bp": (0.0, 0.8)},
+             "replication 0: paths end before the horizon 1.0$"),
         ],
-        ids=["x-negative-past", "h-falls-past", "m-start", "clock-falls-at", "assumption-at", "horizon-past-ends"],
+        ids=["x-negative-past", "h-falls-past", "m-start", "clock-falls-at", "assumption-at", "horizon-past-ends",
+             "x-ends-before-an-m-breakpoint"],
     )
     def test_each_rejection_keeps_its_message(self, change, problem):
         with pytest.raises(EnsembleError, match=problem):
             horizon_grid_ensemble(**change)
+
+
+RULES = ("x-negative", "h-falls", "m-start", "clock-falls", "assumption", "ends")
+
+
+@st.composite
+def shared_grid_replication(draw, rule):
+    """X, M, H values on one breakpoint array, valid unless `rule` names a broken one.
+
+    H rises from H(0) >= 0, M starts at 0 and stays above -H, and X is a
+    share of M + H, so the assumption holds for any clock.
+    """
+    steps = draw(st.lists(st.floats(0.05, 1.0), max_size=6))
+    bp = np.concatenate(([0.0], np.cumsum(steps)))
+    m = len(bp)
+    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=m, max_size=m).map(np.array)
+    hv = np.cumsum(draw(floats(0.0, 1.0)))
+    mv = np.maximum(draw(floats(-1.0, 1.0)), -hv)
+    mv[0] = 0.0
+    xv = (mv + hv) * draw(floats(0.0, 1.0))
+    j = draw(st.integers(0, m - 1))
+    if rule == "x-negative":
+        xv[j] = -0.5
+    elif rule == "h-falls":
+        hv[j] = hv[j - 1] - 0.5 if j else -0.5
+    elif rule == "m-start":
+        mv[0] = 0.5
+    elif rule == "assumption":
+        xv[j] += 100.0
+    return bp, xv, mv, hv
+
+
+@st.composite
+def shared_grid_ensembles(draw):
+    """(replications, end, horizon, clock) with a broken rule in at most one replication."""
+    rule = draw(st.sampled_from((None,) + RULES))
+    bad = draw(st.integers(0, 2))
+    reps = [draw(shared_grid_replication(rule if r == bad else None)) for r in range(3)]
+    end = max(max(rep[0][-1] for rep in reps) + draw(st.sampled_from((0.0, 0.5))), 0.25)
+    inside = draw(st.floats(0.01, 1.0)) * end
+    on_a_breakpoint = draw(st.sampled_from(reps[0][0][1:].tolist() or [end]))
+    horizon = end + 0.25 if rule == "ends" else draw(st.sampled_from((end, inside, on_a_breakpoint)))
+    slope = draw(st.floats(0.0, 2.0))
+    falls = draw(st.floats(0.01, 1.0)) * horizon
+    if rule == "clock-falls":
+        return reps, end, horizon, lambda u: slope * u if u < falls else slope * u - 10.0
+    return reps, end, horizon, lambda u: slope * u
+
+
+def validation_outcome(reps, end, horizon, clock, grid):
+    """The EnsembleError message (None if accepted), the clock's arguments in order, and the paths."""
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return clock(u)
+
+    paths = [[s.CadlagPath(grid(bp), v[:, None], end) for v in (xv, mv, hv)] for bp, xv, mv, hv in reps]
+    try:
+        s.GronwallEnsemble(*zip(*paths), s.MonotoneFunction(counted), horizon, 0.5)
+    except EnsembleError as e:
+        return str(e), calls, paths
+    return None, calls, paths
+
+
+class TestSharedGrid:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(shared_grid_ensembles())
+    def test_shared_and_union_grids_give_one_outcome(self, ensemble):
+        # Paths built on one array share it, so validation reads their rows
+        # directly; rebuilt on copies, they go through the union of breakpoints.
+        shared, shared_calls, paths = validation_outcome(*ensemble, grid=lambda bp: bp)
+        assert all(m.breakpoints is x.breakpoints is h.breakpoints for x, m, h in paths)
+        union, union_calls, paths = validation_outcome(*ensemble, grid=np.copy)
+        assert not any(m.breakpoints is x.breakpoints for x, m, _ in paths)
+        assert shared == union
+        assert shared_calls == union_calls
 
 
 class TestLenglartTail:
@@ -328,6 +410,14 @@ class TestLenglartTail:
             s.lenglart_tail(*constant_pairs(1.0, 2), c=0.0, d=1.0)
         with pytest.raises(ValueError):
             s.lenglart_tail(*constant_pairs(1.0, 2), c=1.0, d=-1.0)
+
+    @pytest.mark.parametrize("x_count, g_count", [(10, 4), (4, 10)])
+    def test_unequal_ensembles_are_refused(self, x_count, g_count):
+        # zip stopped at the shorter one and reported replications=4.
+        xs, _ = s.brownian_square_pairs(x_count, 8, seed=1)
+        _, gs = s.brownian_square_pairs(g_count, 8, seed=1)
+        with pytest.raises(ValueError, match="shorter|longer"):
+            s.lenglart_tail(xs, gs, c=1.0, d=2.0)
 
     @pytest.mark.parametrize("c, d", [(math.nan, 1.0), (1.0, math.nan)], ids=["c", "d"])
     def test_a_nan_parameter_is_refused(self, c, d):
@@ -363,6 +453,13 @@ class TestLenglartMoment:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             s.lenglart_moment(*constant_pairs(1.0, 2), p=1.2)
+
+    @pytest.mark.parametrize("x_count, g_count", [(10, 4), (4, 10)])
+    def test_unequal_ensembles_are_refused(self, x_count, g_count):
+        xs, _ = s.brownian_square_pairs(x_count, 8, seed=1)
+        _, gs = s.brownian_square_pairs(g_count, 8, seed=1)
+        with pytest.raises(ValueError, match="shorter|longer"):
+            s.lenglart_moment(xs, gs, p=0.5)
 
     def test_random_parameter_sweep_holds(self):
         # Certified generator + random (c, d, p): every verdict must hold.
