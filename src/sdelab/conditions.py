@@ -117,7 +117,8 @@ def random_path_sampler(model: CoefficientModel, radius: float, horizon: float =
         k = int(rng.integers(1, 8))
         inner = np.sort(rng.random(k - 1)) * (horizon + tau) - tau if k > 1 else np.empty(0)
         bp = np.concatenate([[-tau], inner])
-        bp = np.unique(bp)
+        # already sorted: drop neighbouring duplicates (a draw of 0.0 lands on -tau)
+        bp = bp[np.concatenate(([True], bp[1:] != bp[:-1]))]
         vals = rng.uniform(-lim, lim, size=(bp.size, d))
         return CadlagPath(bp, vals, horizon)
 

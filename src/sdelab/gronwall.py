@@ -151,6 +151,7 @@ class GronwallEnsemble:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
 
         clock, horizon = self.clock, self.horizon
+        previous_h = None  # a shared H (one object for every replication) is tested once
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
             bp, xv, mv, hv = x.breakpoints, x.values, m.values, h.values
             if xv.shape[1] != 1 or mv.shape[1] != 1 or hv.shape[1] != 1:
@@ -160,8 +161,9 @@ class GronwallEnsemble:
             if (xv < 0).any():
                 raise EnsembleError(f"replication {r}: X takes a negative value")
             hv = hv[:, 0]
-            if hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any():
+            if h is not previous_h and (hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any()):
                 raise EnsembleError(f"replication {r}: H must be non-decreasing from H(0) >= 0")
+            previous_h = h
             if abs(float(mv[0, 0])) > 1e-12:
                 raise EnsembleError(f"replication {r}: M(0) must be 0")
             if min(x.end, m.end, h.end) < horizon:

@@ -193,14 +193,12 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
 def _cells(spec, real) -> list:
     """Per cell: (s0, s1, width, Wiener increments, [(time, mark) of each event in (s0, s1]]).
 
-    s0 and s1 are Python floats.  The width s1 - s0 is a (1,) array and the
-    increments a (wiener, 1) array, so that a row times the width or times
-    increment i multiplies two arrays: numpy does that about twice as fast
-    as a row times a Python float, with the same product.  One search over
-    the grid splits the events.  The realization must come from a spec with
-    the same Wiener count, and from one with jumps if it holds events.  Its
-    event times must be strictly increasing inside (0, T], one mark row
-    each, so that no event falls outside every cell.
+    s0, s1, the width s1 - s0 and each Wiener increment are Python floats,
+    so a scalar walk multiplies floats and a vector walk rows by floats.
+    One search over the grid splits the events.  The realization must come
+    from a spec with the same Wiener count, and from one with jumps if it
+    holds events.  Its event times must be strictly increasing inside
+    (0, T], one mark row each, so that no event falls outside every cell.
     """
     wiener, count = real.wiener_increments.shape[1], real.event_times.size
     if wiener != spec.wiener_count or count and not spec.has_jumps:
@@ -221,7 +219,7 @@ def _cells(spec, real) -> list:
     cut = np.searchsorted(te, real.grid, side="right").tolist()
     events = list(zip(te.tolist(), real.event_marks))
     return list(zip(
-        times, times[1:], np.diff(real.grid)[:, None], real.wiener_increments[:, :, None],
+        times, times[1:], np.diff(real.grid).tolist(), real.wiener_increments.tolist(),
         [events[a:b] for a, b in zip(cut, cut[1:])],
     ))
 
@@ -236,8 +234,8 @@ def _cell_entries(g, compensator, h, spec, s0, s1, ds, dw, events):
     g(s0, h, i), jumps g(t_e, h, xi_e) at exact event times, and the
     left-point compensator quadrature -lambda(u) * compensator(u, h) * width
     (node quadrature of g over mu when compensator is None); g and
-    compensator return float rows.  Deltas are None for entries with no
-    contribution, read as zeros by the caller.
+    compensator return float rows, or floats in a scalar walk.  Deltas are
+    None for entries with no contribution, read as zeros by the caller.
     """
     wc = spec.wiener_count
     delta = None
@@ -290,13 +288,14 @@ def integrate(
     d = None  # the first integrand or compensator value fixes the output dimension
 
     def row(value, t, label):
+        # A value of dimension 1 travels as a float, as in the Euler walk.
         nonlocal d
         v = np.asarray(value, dtype=float).reshape(-1)
         if d is None:
             d = v.size
         elif v.size != d:
             raise ValueError(f"{label} value at t={t} has {v.size} entries, the first value had {d}")
-        return v
+        return v.item() if d == 1 else v
 
     g_h = lambda t, _h, mark: row(g(t, mark), t, "integrand")
     comp_h = compensator and (lambda t, _h: row(compensator(t), t, "compensator"))
@@ -304,7 +303,7 @@ def integrate(
     d = 1 if d is None else d
     start = float(real.grid[0])
     builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
-    level = np.zeros(d)
+    level = 0.0 if d == 1 else np.zeros(d)
     for t, _, delta, is_jump in entries:
         if delta is not None:
             level = level + delta

@@ -94,22 +94,25 @@ _F64 = np.dtype(float)
 _NO_MARK = object()
 
 
-def _wrap_coefficient(fn, label, dim, replication=None):
+def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
     """fn with its value as a float row of length dim: a failure, or a value of
     another size, raises ModelError with the label, t and the replication.
 
     Called as (t, h), or as (t, h, mark) for the jump.  A native float64
-    ndarray of shape (dim,) is returned as it is; any other value becomes
-    np.asarray(value, dtype=float).reshape(dim).
+    ndarray of shape (dim,) is taken as it is; any other value becomes
+    np.asarray(value, dtype=float).reshape(dim).  With native and dim 1 the
+    row's one entry is returned as a Python float, whose arithmetic rounds
+    as float64 does at a fraction of the cost of a (1,) array's.
     """
     shape, ndarray = (dim,), np.ndarray
+    scalar = native and dim == 1
 
     def call(t, h, mark=_NO_MARK):
         try:
             v = fn(t, h) if mark is _NO_MARK else fn(t, h, mark)
-            if type(v) is ndarray and v.shape == shape and v.dtype is _F64:
-                return v
-            return np.asarray(v, dtype=float).reshape(shape)
+            if not (type(v) is ndarray and v.shape == shape and v.dtype is _F64):
+                v = np.asarray(v, dtype=float).reshape(shape)
+            return v.item() if scalar else v
         except ModelError:
             raise
         except Exception as exc:
@@ -134,7 +137,11 @@ def euler_solve(
     stream_id = (seed, index); a given one must live on that same grid
     (coupled resolutions aggregate shared noise with coarsen_noise first), so
     cell k of the solve is cell k of the realization.  Deterministic given
-    the stream.  Raises ExplosionError if the state is not finite.
+    the stream.  A scalar model (dim 1) walks on Python floats, a vector
+    model on float rows; both round every product and sum as float64.
+    Raises ExplosionError at the first breakpoint where the state is not
+    finite; a scalar state that overflows turns inf without a numpy warning
+    and is caught there too.
     """
     grid = euler_grid(n, T)
     if realization is None:
@@ -144,14 +151,16 @@ def euler_solve(
     elif not np.array_equal(realization.grid, grid):
         raise ValueError(f"realization grid is not the Euler grid 0, 1/{n}, ..., {T}")
 
-    f = _wrap_coefficient(model.drift, "drift", model.dim, replication)
-    g = _wrap_coefficient(model.jump, "jump", model.dim, replication)
-    comp = model.compensator and _wrap_coefficient(model.compensator, "compensator", model.dim, replication)
+    dim = model.dim
+    wrap = lambda fn, label: _wrap_coefficient(fn, label, dim, replication, native=True)
+    f, g = wrap(model.drift, "drift"), wrap(model.jump, "jump")
+    comp = model.compensator and wrap(model.compensator, "compensator")
 
     # One append per cell and per event, fewer where an event lands on the grid.
     appends = grid.size - 1 + realization.event_times.size
     builder = PathBuilder(model.initial, float(grid[-1]), appends)
-    x = np.array(model.initial.value_at(0.0), dtype=float)
+    x0 = model.initial.value_at(0.0)
+    x = x0.item() if dim == 1 else np.array(x0, dtype=float)
 
     for s0, s1, ds, dw, events in _cells(spec, realization):
         frozen = builder.freeze()

@@ -121,6 +121,29 @@ def test_a_failing_coefficient_is_a_model_error_at_the_sampled_time():
     assert err.value.t == t and err.value.replication is None
 
 
+class ZeroDraws:
+    """Stand-in rng: the most breakpoints a sampled path can have, and every uniform draw 0.0."""
+
+    def integers(self, low, high):
+        return high - 1
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.full(size, low)
+
+
+def test_sampled_breakpoints_that_land_on_minus_tau_are_dropped():
+    # Every inner breakpoint draws 0.0 and so equals -tau; one breakpoint remains.
+    model = linear(dim=2)
+    t, x, y = random_path_sampler(model, 1.0)(ZeroDraws())
+    assert t == 1.0
+    for path in (x, y):
+        assert path.breakpoints.tolist() == [-model.delay] and path.values.shape == (1, 2)
+        assert path.end == 1.0
+
+
 def test_c3_probes_each_sample_with_two_drift_calls():
     calls = []
     base = linear()

@@ -256,6 +256,16 @@ class TestVerify:
                 parts["x"], parts["m"], parts["h"], s.MonotoneFunction(parts["clock"]), 1.0, parts["p"]
             )
 
+    @pytest.mark.parametrize("h_index, r", [((0, 0, 1), 2), ((1, 1, 1), 0), ((0, 1, 0), 1)],
+                             ids=["distinct", "shared", "between-shared"])
+    def test_a_falling_h_names_its_first_replication(self, h_index, r):
+        # A shared H object is tested once; a distinct one at every replication.
+        one = s.CadlagPath(np.array([0.0]), np.array([[1.0]]), 1.0)
+        falls = s.CadlagPath(np.array([0.0, 0.5]), np.array([[2.0], [1.0]]), 1.0)
+        h = [(one, falls)[i] for i in h_index]
+        with pytest.raises(EnsembleError, match=rf"^replication {r}: H must be non-decreasing"):
+            s.GronwallEnsemble([one] * 3, [ZERO] * 3, h, s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5)
+
 
 def horizon_grid_ensemble(x=(1.0, 1.2, 2.0, 9.0), m=(0.0, 0.5), h=(1.5, 1.75, 3.0),
                           clock=lambda u: 0.0, horizon=1.0, x_bp=(0.0, 0.25, 1.0, 1.5), x_end=2.0,

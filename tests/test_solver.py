@@ -241,14 +241,16 @@ class TestEulerSolve:
         def nan_drift(t, h):
             return np.array([np.nan]) if t >= 0.5 else np.zeros(1)
 
-        model = s.CoefficientModel(
-            dim=1, delay=1.0, drift=nan_drift, jump=lambda t, h, m: np.zeros(1),
-            initial=constant_path(0.0, -1.0, 0.0),
-        )
-        with pytest.raises(ExplosionError) as err:
-            s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), replication=3)
-        assert "not finite" in str(err.value)
-        assert err.value.t == 0.75 and err.value.replication == 3
+        # 1.5e308 + 0.25e308 is finite; the next step overflows to inf.
+        for x0, drift, bad_t in ((0.0, nan_drift, 0.75), (1.5e308, lambda t, h: np.array([1e308]), 0.5)):
+            model = s.CoefficientModel(
+                dim=1, delay=1.0, drift=drift, jump=lambda t, h, m: np.zeros(1),
+                initial=constant_path(x0, -1.0, 0.0),
+            )
+            with pytest.raises(ExplosionError) as err:
+                s.euler_solve(model, NO_NOISE, 4, 1.0, (0, 0), replication=3)
+            assert "not finite" in str(err.value)
+            assert err.value.t == bad_t and err.value.replication == 3
 
     def test_model_error_context(self):
         def bad_drift(t, h):
@@ -556,12 +558,17 @@ class Row(np.ndarray):
     ids=["list", "list-2", "int-array", "int-array-2", "big-endian", "1x1", "subclass", "float"],
 )
 def test_a_coefficient_value_of_another_kind_is_converted_to_a_float_row(value, dim):
-    # Only a native float64 row of the model's dimension is passed through as it is.
+    # Only a native float64 row of the model's dimension is passed through as
+    # it is; with native, a row of dimension 1 leaves as its Python float.
     want = np.asarray(value, dtype=float).reshape(dim)
-    for label, args in (("drift", (0.5, None)), ("jump", (0.5, None, 0))):
-        row = _wrap_coefficient(lambda *_: value, label, dim)(*args)
-        assert type(row) is np.ndarray and row.dtype == np.dtype(float) and row.dtype.isnative
-        assert row.shape == (dim,) and row.tobytes() == want.tobytes()
+    for native in (False, True):
+        for label, args in (("drift", (0.5, None)), ("jump", (0.5, None, 0))):
+            row = _wrap_coefficient(lambda *_: value, label, dim, native=native)(*args)
+            if native and dim == 1:
+                assert type(row) is float and np.array([row]).tobytes() == want.tobytes()
+            else:
+                assert type(row) is np.ndarray and row.dtype == np.dtype(float) and row.dtype.isnative
+                assert row.shape == (dim,) and row.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -569,6 +576,7 @@ def test_a_coefficient_value_of_another_kind_is_converted_to_a_float_row(value, 
 )
 @pytest.mark.parametrize("value", [np.zeros(3), [1.0], np.zeros((2, 2))], ids=["three", "list-of-one", "2x2"])
 def test_a_coefficient_value_of_another_size_is_a_model_error(label, args, value):
-    call = _wrap_coefficient(lambda *_: value, label, 2, replication=4)
-    with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25, replication=4\]$"):
-        call(*args)
+    for native in (False, True):
+        call = _wrap_coefficient(lambda *_: value, label, 2, replication=4, native=native)
+        with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25, replication=4\]$"):
+            call(*args)

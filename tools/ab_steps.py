@@ -10,6 +10,8 @@ rounds and the change first in odd ones:
 
 - gbm: 40 solves of `gbm` at n = 128, T = 1, one Wiener component
 - geometric-jump: 40 solves of `geometric-jump` at jump rate 16, n = 16, T = 4
+- linear-dim2: 40 solves of `linear` with dim 2 at n = 128, T = 1, one
+  Wiener component, the vector (row) side of the solver's walk
 - validate: `GronwallEnsemble` validation of a 1 500-replication
   `gbm_squared_ensemble` (p = 0.5, n = 64), built once before the rounds
 - lenglart: `lenglart_moment` (p = 0.5) on `brownian_square_pairs(2000, 2048, seed)`
@@ -39,6 +41,7 @@ SOLVES = 40
 EULER = {
     "gbm": ("gbm", {}, {"wiener": 1}, 128, 1.0),
     "geometric-jump": ("geometric-jump", {"rate_bound": 16.0}, {"wiener": 1, "jump_rate": 16.0}, 16, 4.0),
+    "linear-dim2": ("linear", {"dim": 2}, {"wiener": 1}, 128, 1.0),
 }
 
 VALIDATE_REPLICATIONS = 1500
