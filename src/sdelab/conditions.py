@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -131,13 +133,18 @@ def random_path_sampler(model: CoefficientModel, radius: float, horizon: float =
 
 
 def _squared_mark_integral(jump, spec, t, x, y=None) -> float:
-    """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks, g the wrapped jump."""
+    """int |g(t,x,xi) - g(t,y,xi)|^2 nu_t(dxi) over Wiener indices + marks, g the wrapped jump.
+
+    g returns float rows, or Python floats for a scalar model.  Terms are
+    added in index order by a left fold: the builtin sum compensates float
+    sums from Python 3.12 on, which would change the bits with the version.
+    """
 
     def sq(mark):
         v = jump(t, x, mark) if y is None else jump(t, x, mark) - jump(t, y, mark)
-        return float(v @ v)
+        return v * v if type(v) is float else float(v @ v)
 
-    total = sum(map(sq, range(spec.wiener_count)), 0.0)
+    total = reduce(add, map(sq, range(spec.wiener_count)), 0.0)
     if spec.has_jumps:
         lam = spec.rate(t)
         if lam > 0:
@@ -166,7 +173,7 @@ def evaluate_condition(
         raise ValueError(f"model '{model.name}' supplies no {attr} needed by {condition}")
     drift = _wrap_coefficient(model.drift, "drift", model.dim)
     f = drift(t, x)
-    jump = _wrap_coefficient(model.jump, "jump", model.dim)
+    jump = _wrap_coefficient(model.jump, "jump", model.dim, native=True)
     marks = _squared_mark_integral(jump, spec, t, x, y if condition == "C1" else None)
     if condition == "C1":
         dx = x.left_limit(t) - y.left_limit(t)

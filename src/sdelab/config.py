@@ -240,7 +240,7 @@ class _Row(NamedTuple):
 
 _COMMON = (
     _Row("seed", _seed, required=True),
-    # Validated and dropped: runs are serial, but perfbench workloads still send it.
+    # Validated and dropped: it has no effect, but perfbench workloads still send it.
     _Row("threads", _integer(1)),
     _Row("output", _text),
 )

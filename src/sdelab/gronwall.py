@@ -341,14 +341,35 @@ def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
     Each chunk is drawn in blocks of at most _BLOCK_BYTES that continue the
     same stream, so the block size only bounds memory; the values are those
     of one draw per chunk.
+
+    One worker thread draws and scales block j+1 while the caller holds
+    block j (numpy's normal sampler releases the interpreter lock), so two
+    blocks are alive at a time.  Only the worker advances the streams, in
+    order, so the values do not depend on it.  A draw that raises raises
+    here; closing the generator early waits for the draw in flight, and no
+    thread outlives the generator.
     """
     rows = max(1, _BLOCK_BYTES // (8 * steps))
-    for k, done in enumerate(range(0, replications, _CHUNK)):
-        rng = stream(seed, k)
-        take = min(_CHUNK, replications - done)
-        for start in range(0, take, rows):
-            block = rng.standard_normal((min(rows, take - start), steps))
-            block *= math.sqrt(dt)
+    scale = math.sqrt(dt)
+
+    def blocks():
+        for k, done in enumerate(range(0, replications, _CHUNK)):
+            rng = stream(seed, k)
+            take = min(_CHUNK, replications - done)
+            for start in range(0, take, rows):
+                block = rng.standard_normal((min(rows, take - start), steps))
+                block *= scale
+                yield block
+
+    # imported here, not with the module: kinds that draw no Brownian block
+    # would pay its import, several ms and 0.4 MiB, at every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    drawn = blocks()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(next, drawn, None)
+        while (block := ahead.result()) is not None:
+            ahead = worker.submit(next, drawn, None)
             yield block
 
 
@@ -359,9 +380,9 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
     stopped-expectation sense; G is deterministic, hence predictable.  Returns
     (x_paths, g_paths) ready for the Lenglart estimators: X is generated one
     block of increments at a time, so a consumer that drops each path before
-    taking the next holds at most one block (about _BLOCK_BYTES) of X,
-    whatever `replications` is; G is the one shared deterministic path,
-    repeated.
+    taking the next holds at most two blocks (about 2 * _BLOCK_BYTES) of X,
+    the one it reads and the one being drawn, whatever `replications` is; G
+    is the one shared deterministic path, repeated.
     """
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)

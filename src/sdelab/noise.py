@@ -21,7 +21,8 @@ histories; deterministic g is trivially fine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -125,9 +126,13 @@ class MartingaleMeasureSpec:
         return _mark_rows(self.mark_sampler(stream(_NODE_SEED, QUADRATURE_STREAM), self.quadrature_nodes))
 
     def node_sum(self, fn):
-        """fn(node) summed over the compensator nodes, added in node order."""
+        """fn(node) summed over the compensator nodes, added in node order.
+
+        A left fold, not the builtin sum, which compensates float sums from
+        Python 3.12 on and so would change the bits with the version.
+        """
         nodes = self.compensator_nodes
-        return sum(map(fn, nodes[1:]), fn(nodes[0]))
+        return reduce(add, map(fn, nodes[1:]), fn(nodes[0]))
 
 
 def _mark_rows(marks) -> np.ndarray:

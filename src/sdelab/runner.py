@@ -6,9 +6,11 @@ detected (the lab doubles as a falsification tool), and operational errors
 propagate to the CLI as exit 1.
 
 Artifacts are byte-reproducible for a fixed config and seed: every
-replication draws from its own counter-based stream, replications run
-serially in one process in index order, and the only non-reproducible value
-is the timestamp, isolated in one metadata key.
+replication draws from its own counter-based stream, replications are
+reduced in index order, and the only non-reproducible value is the
+timestamp, isolated in one metadata key.  One worker thread draws the next
+block of Brownian increments while the current one is reduced; the output
+bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -92,9 +94,11 @@ def _run_convergence(cfg: ExperimentConfig, out: Path):
 def _run_verify_gronwall(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     reports = []
+    ens = None
     for p in o["p_values"]:
         if o["ensemble"] == "gbm-squared":
-            ens = gbm_squared_ensemble(
+            # the paths do not depend on p; replace re-runs the validation
+            ens = dataclasses.replace(ens, p=p) if ens is not None else gbm_squared_ensemble(
                 o["replications"], p, cfg.seed,
                 mu=o["mu"], sigma=o["sigma"], x0=o["x0"], n=o["n"],
             )

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import sdelab as s
-from sdelab.conditions import random_path_sampler
+from sdelab.conditions import _squared_mark_integral, random_path_sampler
 from sdelab.errors import ModelError
-from sdelab.models import delay_ode, gbm, geometric_jump, linear, superlinear_bad
+from sdelab.models import build_model, delay_ode, gbm, geometric_jump, linear, superlinear_bad
 from sdelab.paths import constant_path
 from sdelab.streams import stream
 
@@ -202,3 +202,58 @@ def test_evaluate_condition_rejections(condition, problem):
     x = constant_path(0.5, -1.0, 1.0)
     with pytest.raises(ValueError, match=problem):
         s.evaluate_condition(linear(sigma=0.5), ONE_WIENER, condition, 0.5, x)
+
+
+def row_walk_condition(model, spec, condition, t, x, y, radius):
+    """evaluate_condition with every coefficient value a float row and sums folded left."""
+    row = lambda v: np.asarray(v, dtype=float).reshape(model.dim)
+
+    def sq(mark):
+        v = row(model.jump(t, x, mark))
+        if condition == "C1":
+            v = v - row(model.jump(t, y, mark))
+        return float(v @ v)
+
+    marks = 0.0
+    for i in range(spec.wiener_count):
+        marks += sq(i)
+    nodes = spec.compensator_nodes
+    node_total = sq(nodes[0])
+    for xi in nodes[1:]:
+        node_total += sq(xi)
+    marks += spec.rate(t) * node_total / len(nodes)
+    f = row(model.drift(t, x))
+    if condition == "C1":
+        dx = x.left_limit(t) - y.left_limit(t)
+        lhs = 2.0 * float(dx @ (f - row(model.drift(t, y)))) + marks
+        return lhs, float(model.lipschitz_rate(t, radius)) * s.sup_distance(x, y, x.start, t) ** 2
+    if condition == "C2":
+        lhs = 2.0 * float(x.left_limit(t) @ f) + marks
+        return lhs, float(model.growth_rate(t)) * (1.0 + x.window_sup(x.start, t) ** 2)
+    return float(np.sqrt(f @ f)) + marks, float(model.bound_rate(t, radius))
+
+
+@pytest.mark.parametrize("name, params", [("geometric-jump", {}), ("linear", {"dim": 2})])
+@pytest.mark.parametrize("condition", ["C1", "C2", "C4"])
+def test_evaluate_condition_equals_the_row_walk(name, params, condition):
+    # a scalar model's jump values are Python floats; the bits must not move
+    model = build_model(name, params)
+    spec = s.MartingaleMeasureSpec(
+        wiener_count=2, intensity=lambda t: 2.0, intensity_bound=2.0,
+        mark_sampler=s.uniform_marks(0.0, 1.0),
+    )
+    sampler = random_path_sampler(model, 10.0)
+    for i in range(40):
+        t, x, y = sampler(stream(5, i))
+        got = s.evaluate_condition(model, spec, condition, t, x, y, 10.0)
+        assert got == row_walk_condition(model, spec, condition, t, x, y, 10.0)
+
+
+def test_the_wiener_sum_adds_in_index_order():
+    # squares 1e16, 1, 1: in order each 1 is lost to rounding; a compensated
+    # sum (the builtin sum from Python 3.12 on) would give 1e16 + 2.  Python
+    # 3.11's sum also adds in order, so there this passes either way.
+    amplitude = (1e8, 1.0, 1.0)
+    x = constant_path(1.0, -1.0, 1.0)
+    total = _squared_mark_integral(lambda t, h, i: amplitude[i], s.MartingaleMeasureSpec(wiener_count=3), 0.5, x)
+    assert total == 1e16

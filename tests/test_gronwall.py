@@ -2,6 +2,7 @@
 counterexample, and the Lenglart estimators against Brownian closed forms."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import sdelab as s
 from sdelab.errors import EnsembleError
-from sdelab.gronwall import _CHUNK
+from sdelab import gronwall
+from sdelab.gronwall import _CHUNK, _brownian_increments
 from sdelab.streams import stream
 
 
@@ -532,6 +534,51 @@ class TestGenerators:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert rep.lhs == 1.2218617906199845
+
+
+class TestIncrementPipeline:
+    """_brownian_increments draws each next block on one worker thread."""
+
+    # 436 rows of 300 steps fit in a block: chunk 0 is ten blocks, chunk 1 one.
+    REPLICATIONS, STEPS = _CHUNK + 4, 300
+
+    def test_blocks_equal_one_serial_draw_per_chunk(self):
+        blocks = list(_brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23))
+        assert [len(b) for b in blocks] == [436] * 9 + [172, 4]
+        want = reference_increments(self.REPLICATIONS, self.STEPS, seed=23)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_no_thread_outlives_the_generator(self):
+        start = threading.active_count()
+        for _ in _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23):
+            pass
+        assert threading.active_count() == start
+        blocks = _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
+        next(blocks)
+        assert threading.active_count() == start + 1    # the worker, drawing the second block
+        blocks.close()
+        assert threading.active_count() == start
+
+    def test_a_draw_that_raises_raises_in_the_consumer(self, monkeypatch):
+        failure = FloatingPointError("draw failed")
+
+        class SecondDrawFails:
+            drawn = 0
+
+            def standard_normal(self, size):
+                self.drawn += 1
+                if self.drawn > 1:
+                    raise failure
+                return np.zeros(size)
+
+        monkeypatch.setattr(gronwall, "stream", lambda seed, k: SecondDrawFails())
+        start = threading.active_count()
+        blocks = _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
+        assert not next(blocks).any()
+        with pytest.raises(FloatingPointError) as raised:
+            next(blocks)
+        assert raised.value is failure
+        assert threading.active_count() == start
 
 
 class TestCounterexampleStats:

@@ -390,3 +390,15 @@ def test_a_nan_intensity_is_refused(use):
     # then kept none of the candidate events on [0, 1] without a word.
     with pytest.raises(NoiseSpecError, match=r"intensity lambda\(.*\) = nan is not a number"):
         use(jump_spec(rate=math.nan, bound=4.0))
+
+
+def test_node_sum_adds_in_node_order():
+    # In order, 1e16 + 1.0 rounds back to 1e16 and the sum ends at 0.0; a
+    # compensated sum (the builtin sum from Python 3.12 on) gives 1.0.
+    # Python 3.11's sum also adds in order, so there this passes either way.
+    spec = s.MartingaleMeasureSpec(
+        intensity=lambda t: 1.0, intensity_bound=1.0, mark_sampler=s.uniform_marks(0.0, 1.0),
+        quadrature_nodes=3,
+    )
+    terms = iter([1e16, 1.0, -1e16])
+    assert spec.node_sum(lambda xi: next(terms)) == 0.0

@@ -14,7 +14,10 @@ rounds and the change first in odd ones:
   Wiener component, the vector (row) side of the solver's walk
 - validate: `GronwallEnsemble` validation of a 1 500-replication
   `gbm_squared_ensemble` (p = 0.5, n = 64), built once before the rounds
-- lenglart: `lenglart_moment` (p = 0.5) on `brownian_square_pairs(2000, 2048, seed)`
+- lenglart: `lenglart_moment` (p = 0.5) on `brownian_square_pairs(2000, 2048, seed)`,
+  one chunk of streams
+- lenglart-6000: the same at the `inequality-lab` size, 6000 replications,
+  which cross a chunk boundary
 - conditions: `check_condition` C1, C2 and C4 for `geometric-jump` with one
   Wiener component, jump rate 2, radius 10 and 300 samples
 
@@ -45,7 +48,7 @@ EULER = {
 }
 
 VALIDATE_REPLICATIONS = 1500
-LENGLART_REPLICATIONS, LENGLART_GRID = 2000, 2048
+LENGLART_GRID = 2048
 CONDITION_SAMPLES = 300
 
 
@@ -77,9 +80,12 @@ def validate(pkg, seed: int):
     return run, lambda checked: dataclasses.astuple(pkg.verify_gronwall(checked, "c"))
 
 
-def lenglart(pkg, seed: int):
-    run = lambda: pkg.lenglart_moment(*pkg.brownian_square_pairs(LENGLART_REPLICATIONS, LENGLART_GRID, seed), 0.5)
-    return run, dataclasses.astuple
+def lenglart(replications: int):
+    def make(pkg, seed: int):
+        run = lambda: pkg.lenglart_moment(*pkg.brownian_square_pairs(replications, LENGLART_GRID, seed), 0.5)
+        return run, dataclasses.astuple
+
+    return make, replications, "replication"
 
 
 def conditions(pkg, seed: int):
@@ -95,7 +101,8 @@ def conditions(pkg, seed: int):
 WORKLOADS = {
     **{name: euler(name) for name in EULER},
     "validate": (validate, VALIDATE_REPLICATIONS, "replication"),
-    "lenglart": (lenglart, LENGLART_REPLICATIONS, "replication"),
+    "lenglart": lenglart(2000),
+    "lenglart-6000": lenglart(6000),
     "conditions": (conditions, 3 * CONDITION_SAMPLES, "sample"),
 }
 
