@@ -16,7 +16,9 @@ expectations almost surely, so anything beyond CI noise is a hard failure.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -55,6 +57,11 @@ _CHUNK = 4096
 
 # Upper bound on the bytes of one block of increments a chunk is drawn in.
 _BLOCK_BYTES = 1 << 20
+
+# Upper bound on the points of one row block of ensemble validation: each of
+# the pass's (rows, k) arrays then takes at most 128 KiB, all of them about
+# 1 MiB (252 replications of a 65-point grid).
+_BLOCK_POINTS = 1 << 14
 
 
 def c_p(p: float) -> float:
@@ -100,18 +107,76 @@ class MonotoneFunction:
 
 
 def _running_sup_clock_integral(xs: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """int_0^{pts[j]} X*(u-) dA(u) by left-point Stieltjes sums on the union grid.
+    """int_0^{pts[j]} X*(u-) dA(u) by left-point Stieltjes sums, one replication per row.
 
-    da holds the clock increments A(pts[i+1]) - A(pts[i]).  Exact for
-    piecewise-constant X whose breakpoints are all in pts: on each cell
-    (pts[i], pts[i+1]] the integrand X*(u-) is constant and equals the running
-    sup through pts[i].
+    xs is (rows, k) and da (rows, k - 1) holds the clock increments
+    A(pts[i+1]) - A(pts[i]).  Exact for piecewise-constant X whose
+    breakpoints are all in pts: on each cell (pts[i], pts[i+1]] the integrand
+    X*(u-) is constant and equals the running sup through pts[i].  Each row
+    is accumulated along its points in order, so its bits do not depend on
+    the rows beside it.
     """
-    xstar = np.maximum.accumulate(xs)
+    xstar = np.maximum.accumulate(xs, axis=1)
     out = np.empty_like(xs)
-    out[0] = 0.0
-    np.cumsum(xstar[:-1] * da, out=out[1:])
+    out[:, 0] = 0.0
+    np.cumsum(xstar[:, :-1] * da, axis=1, out=out[:, 1:])
     return out
+
+
+def _path_problem(
+    r: int, x: CadlagPath, m: CadlagPath, h: CadlagPath, test_x: bool, test_h: bool, horizon: float
+):
+    """The first shape invariant replication r breaks, as a message, or None.
+
+    X >= 0 is left out unless test_x, and H's invariant unless test_h.
+    """
+    xv, mv, hv = x.values, m.values, h.values
+    if xv.shape[1] != 1 or mv.shape[1] != 1 or hv.shape[1] != 1:
+        return "ensemble paths must be scalar"
+    if x.breakpoints[0] != 0.0 or m.breakpoints[0] != 0.0 or h.breakpoints[0] != 0.0:
+        return f"replication {r}: ensemble paths must start at t=0"
+    if test_x and (xv < 0).any():
+        return f"replication {r}: X takes a negative value"
+    if test_h and (hv[0, 0] < 0 or (hv[1:] - hv[:-1] < 0).any()):
+        return f"replication {r}: H must be non-decreasing from H(0) >= 0"
+    if abs(float(mv[0, 0])) > 1e-12:
+        return f"replication {r}: M(0) must be 0"
+    if min(x.end, m.end, h.end) < horizon:
+        return f"replication {r}: paths end before the horizon {horizon}"
+    return None
+
+
+def _check_row_block(clock: MonotoneFunction, first: int, block: list) -> None:
+    """Raise EnsembleError for the first replication of a row block that fails a rule.
+
+    Row i of the block is replication first + i, as (ts, xs, ms, hs): the
+    list of its points, k in every row, and X, M and H there as (k, 1)
+    arrays.  A is read once per point, row after row; X >= 0, that A is
+    non-decreasing and the assumption inequality are then tested on (rows, k)
+    arrays, in that order within a row.
+    """
+    ts, xs, ms, hs = zip(*block)
+    rows, k = len(ts), len(ts[0])
+    a = np.fromiter((clock(t) for row in ts for t in row), float, rows * k).reshape(rows, k)
+    x, m, h = (np.concatenate(v).reshape(rows, k) for v in (xs, ms, hs))
+    da = a[:, 1:] - a[:, :-1]
+    negative, rising = (x < 0).any(axis=1), da >= 0
+    slack = _running_sup_clock_integral(x, da) + m + h - x
+    failing = negative | ~rising.all(axis=1) | (slack < -_ASSUMPTION_TOL).any(axis=1)
+    if not failing.any():
+        return
+    i = int(failing.argmax())
+    r, pts, x, slack = first + i, ts[i], x[i], slack[i]
+    if negative[i]:
+        raise EnsembleError(f"replication {r}: X takes a negative value")
+    if not rising[i].all():
+        j = int(np.argmin(rising[i])) + 1
+        raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
+    j = int(np.argmin(slack))
+    raise EnsembleError(
+        f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
+        f"(X={x[j]:.6g} > bound={x[j] + slack[j]:.6g})"
+    )
 
 
 @dataclass
@@ -123,9 +188,18 @@ class GronwallEnsemble:
     0, A(0) = 0 and A non-decreasing on the union of breakpoints) and the
     assumption inequality
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
-    replication; failing ensembles are rejected outright.  A is read at every
-    point of every replication's grid up to the horizon.  A replication whose
-    X, M and H share one breakpoint array is read on that array with no union.
+    replication; failing ensembles are rejected outright, naming the first
+    failing replication.  A is read at every point of every replication's
+    grid up to the horizon.  A replication whose X, M and H share one
+    breakpoint array is read on that array with no union.
+
+    X >= 0 up to the horizon, A's monotonicity and the assumption inequality
+    are tested on row blocks: runs of consecutive replications with the same
+    number of points k, whatever their grids, at most _BLOCK_POINTS points in
+    all, each checked as one pass over (rows, k) arrays that gives every row
+    the bits it would have alone.  A block is checked when the next
+    replication does not fit in it or breaks another invariant, so on a
+    failing ensemble A is also read on the rest of the failing block.
 
     h_predictable is a construction-time certificate, set only by generators
     that build H from deterministic or left-continuous data; it is not
@@ -151,44 +225,39 @@ class GronwallEnsemble:
             raise EnsembleError(f"A(0) must be 0, got {self.clock(0.0)}")
 
         clock, horizon = self.clock, self.horizon
+        block, first = [], 0  # the rows of _check_row_block, from replication `first` on
         previous_h = None  # a shared H (one object for every replication) is tested once
+        cut_bp = cut_ts = None  # the last shared breakpoint array and its points up to the horizon
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
-            bp, xv, mv, hv = x.breakpoints, x.values, m.values, h.values
-            if xv.shape[1] != 1 or mv.shape[1] != 1 or hv.shape[1] != 1:
-                raise EnsembleError("ensemble paths must be scalar")
-            if bp[0] != 0.0 or m.breakpoints[0] != 0.0 or h.breakpoints[0] != 0.0:
-                raise EnsembleError(f"replication {r}: ensemble paths must start at t=0")
-            if (xv < 0).any():
-                raise EnsembleError(f"replication {r}: X takes a negative value")
-            hv = hv[:, 0]
-            if h is not previous_h and (hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any()):
-                raise EnsembleError(f"replication {r}: H must be non-decreasing from H(0) >= 0")
+            bp = x.breakpoints
+            shared = m.breakpoints is bp and h.breakpoints is bp
+            if shared and bp is not cut_bp:
+                cut_bp, cut_ts = bp, bp[: bp.searchsorted(horizon, "right")].tolist()
+            # the row block holds X at every breakpoint up to the horizon, so it
+            # tests X >= 0 unless X has a breakpoint past it
+            test_x = x._tail > horizon
+            problem = _path_problem(r, x, m, h, test_x, h is not previous_h, horizon)
+            if problem is not None:
+                if block:
+                    _check_row_block(clock, first, block)
+                if not test_x:  # X's rule comes before the one that failed
+                    problem = _path_problem(r, x, m, h, True, h is not previous_h, horizon)
+                raise EnsembleError(problem)
             previous_h = h
-            if abs(float(mv[0, 0])) > 1e-12:
-                raise EnsembleError(f"replication {r}: M(0) must be 0")
-            if min(x.end, m.end, h.end) < horizon:
-                raise EnsembleError(f"replication {r}: paths end before the horizon {horizon}")
             # every path starts at 0, so the sorted union only needs its cut at the horizon
-            if m.breakpoints is bp and h.breakpoints is bp:
-                pts = bp[: bp.searchsorted(horizon, "right")]
-                k = pts.size
-                xs, ms, hs = xv[:k, 0], mv[:k, 0], hv[:k]
+            if shared:
+                k = len(cut_ts)
+                row = cut_ts, x.values[:k], m.values[:k], h.values[:k]
             else:
                 pts = np.unique(np.concatenate((bp, m.breakpoints, h.breakpoints)))
                 pts = pts[: pts.searchsorted(horizon, "right")]
-                xs, ms, hs = x.values_at(pts)[:, 0], m.values_at(pts)[:, 0], h.values_at(pts)[:, 0]
-            a = np.array([clock(t) for t in pts.tolist()])
-            da = a[1:] - a[:-1]
-            if not (da >= 0).all():
-                j = int(np.argmin(da >= 0)) + 1
-                raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
-            slack = _running_sup_clock_integral(xs, da) + ms + hs - xs
-            if (slack < -_ASSUMPTION_TOL).any():
-                j = int(np.argmin(slack))
-                raise EnsembleError(
-                    f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
-                    f"(X={xs[j]:.6g} > bound={xs[j] + slack[j]:.6g})"
-                )
+                row = pts.tolist(), x.values_at(pts), m.values_at(pts), h.values_at(pts)
+            k = len(row[0])
+            if block and (k != len(block[0][0]) or (len(block) + 1) * k > _BLOCK_POINTS):
+                _check_row_block(clock, first, block)
+                block, first = [], r
+            block.append(row)
+        _check_row_block(clock, first, block)
 
     @property
     def replications(self) -> int:
@@ -247,8 +316,9 @@ def verify_gronwall(
     lhs = float(sup_p.mean())
     lhs_up = lhs + Z_ONE_SIDED * float(sup_p.std(ddof=1)) / math.sqrt(n) if n > 1 else lhs
 
-    h_T = np.array([float(h.value_at(T)[0]) for h in ensemble.h_paths])
-    h_stat = float((h_T ** p).mean()) if variant in ("a", "b") else float(h_T.mean())
+    h_T = [float(h.value_at(T)[0]) for h in ensemble.h_paths]
+    # powers in Python floats: numpy's SIMD power can round otherwise
+    h_stat = float(np.mean([v ** p for v in h_T] if variant in ("a", "b") else h_T))
     rhs = gronwall_bound(variant, p, ensemble.clock(T), h_stat)
     verdict = "holds" if lhs_up <= rhs else "violated"
     return VerificationReport(variant, p, lhs, lhs_up, rhs, verdict, n)
@@ -342,35 +412,54 @@ def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
     same stream, so the block size only bounds memory; the values are those
     of one draw per chunk.
 
-    One worker thread draws and scales block j+1 while the caller holds
-    block j (numpy's normal sampler releases the interpreter lock), so two
-    blocks are alive at a time.  Only the worker advances the streams, in
-    order, so the values do not depend on it.  A draw that raises raises
-    here; closing the generator early waits for the draw in flight, and no
-    thread outlives the generator.
+    One producer thread draws and scales the blocks into a one-slot
+    hand-off (numpy's normal sampler releases the interpreter lock) and
+    starts the next draw as soon as it has handed a block over, without
+    waiting for the caller to ask.  So three blocks can be alive at a time:
+    the one the caller holds, the one in the slot and the one being drawn.
+    Only the producer advances the streams, in order, so the values do not
+    depend on it.  A draw that raises raises the same exception here, after
+    the blocks drawn before it; closing the generator early waits at most
+    for the draw in flight, and no thread outlives the generator.
     """
+    # imported here, not with the module: kinds that draw no Brownian block
+    # would pay for it at every start-up
+    import queue
+
     rows = max(1, _BLOCK_BYTES // (8 * steps))
     scale = math.sqrt(dt)
+    handoff = queue.Queue(maxsize=1)
+    closed = threading.Event()
 
-    def blocks():
-        for k, done in enumerate(range(0, replications, _CHUNK)):
-            rng = stream(seed, k)
-            take = min(_CHUNK, replications - done)
-            for start in range(0, take, rows):
-                block = rng.standard_normal((min(rows, take - start), steps))
-                block *= scale
-                yield block
+    def produce():
+        try:
+            for k, done in enumerate(range(0, replications, _CHUNK)):
+                rng = stream(seed, k)
+                take = min(_CHUNK, replications - done)
+                for start in range(0, take, rows):
+                    block = rng.standard_normal((min(rows, take - start), steps))
+                    block *= scale
+                    handoff.put(block)
+                    if closed.is_set():
+                        return
+            handoff.put(None)
+        except Exception as exc:  # handed to the caller, who raises it
+            handoff.put(exc)
 
-    # imported here, not with the module: kinds that draw no Brownian block
-    # would pay its import, several ms and 0.4 MiB, at every start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    drawn = blocks()
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(next, drawn, None)
-        while (block := ahead.result()) is not None:
-            ahead = worker.submit(next, drawn, None)
+    # a daemon, so a generator left suspended does not hold up interpreter exit
+    producer = threading.Thread(target=produce, name="brownian-increments", daemon=True)
+    producer.start()
+    try:
+        while (block := handoff.get()) is not None:
+            if isinstance(block, Exception):
+                raise block
             yield block
+    finally:
+        closed.set()
+        # frees the slot, so a producer blocked on it can see `closed`
+        with contextlib.suppress(queue.Empty):
+            handoff.get_nowait()
+        producer.join()
 
 
 def brownian_square_pairs(replications: int, grid_n: int, seed: int):
@@ -380,9 +469,10 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
     stopped-expectation sense; G is deterministic, hence predictable.  Returns
     (x_paths, g_paths) ready for the Lenglart estimators: X is generated one
     block of increments at a time, so a consumer that drops each path before
-    taking the next holds at most two blocks (about 2 * _BLOCK_BYTES) of X,
-    the one it reads and the one being drawn, whatever `replications` is; G
-    is the one shared deterministic path, repeated.
+    taking the next holds at most three blocks (about 3 * _BLOCK_BYTES) of
+    X, the one it reads, the one waiting in the hand-off and the one being
+    drawn, whatever `replications` is; G is the one shared deterministic
+    path, repeated.
     """
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)

@@ -293,5 +293,8 @@ def strong_convergence(
             errs[j, r] = float(np.sqrt(diff @ diff))
     means = errs.mean(axis=1)
     stderrs = errs.std(axis=1, ddof=1) / math.sqrt(replications)
-    slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
+    if not means.all():
+        raise ValueError(f"the mean error is 0 at a resolution of {ns}, so no log-log order can be fitted")
+    # logarithms in Python floats: numpy's SIMD log can round otherwise
+    slope = float(np.polyfit([math.log(v) for v in ns], [math.log(e) for e in means.tolist()], 1)[0])
     return ConvergenceReport(tuple(ns), tuple(means), tuple(stderrs), slope)

@@ -14,11 +14,16 @@ digest from a run of the changed code.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sdelab
 from sdelab.config import parse_config
 from sdelab.runner import run_experiment
 
@@ -216,3 +221,39 @@ def test_artifacts_match_golden_digest(name, tmp_path):
     cfg = parse_config(text)
     assert run_experiment(cfg, tmp_path) == exit_code
     assert directory_digest(tmp_path) == digest
+
+
+# Runs every case in a fresh interpreter and prints {name: [exit code, digest]}.
+_CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+from test_artifacts import CASES, directory_digest, parse_config, run_experiment
+found = {}
+for name, (text, _, _) in CASES.items():
+    with tempfile.TemporaryDirectory() as out:
+        found[name] = [run_experiment(parse_config(text), out), directory_digest(Path(out))]
+print(json.dumps(found))
+"""
+
+
+def test_digests_do_not_depend_on_numpy_cpu_dispatch():
+    # numpy picks SIMD kernels at import, and some round otherwise than the C
+    # library (np.log, np.exp, non-integer powers); the golden bytes must not
+    # depend on that choice.  NPY_DISABLE_CPU_FEATURES accepts only targets
+    # of the build's dispatch list: any other name is an ImportWarning.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__ as targets
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__ as targets
+    if not targets:
+        pytest.skip("this numpy build dispatches to no CPU target, so there is nothing to switch off")
+    path = [str(Path(sdelab.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets), "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    found = json.loads(child.stdout)
+    assert found == {name: [code, digest] for name, (_, code, digest) in CASES.items()}

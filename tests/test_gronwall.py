@@ -3,7 +3,9 @@ counterexample, and the Lenglart estimators against Brownian closed forms."""
 
 import math
 import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -391,6 +393,132 @@ class TestSharedGrid:
         assert shared_calls == union_calls
 
 
+def reference_problem(x_paths, m_paths, h_paths, clock, horizon):
+    """The message validation raises (None if it accepts), one replication at a time.
+
+    Validation as it ran before row blocks, kept as the reference: every
+    replication is read on its own union grid, the clock included.
+    """
+    previous_h = None
+    for r, (x, m, h) in enumerate(zip(x_paths, m_paths, h_paths)):
+        bp, xv, mv, hv = x.breakpoints, x.values, m.values, h.values
+        if xv.shape[1] != 1 or mv.shape[1] != 1 or hv.shape[1] != 1:
+            return "ensemble paths must be scalar"
+        if bp[0] != 0.0 or m.breakpoints[0] != 0.0 or h.breakpoints[0] != 0.0:
+            return f"replication {r}: ensemble paths must start at t=0"
+        if (xv < 0).any():
+            return f"replication {r}: X takes a negative value"
+        hv = hv[:, 0]
+        if h is not previous_h and (hv[0] < 0 or (hv[1:] - hv[:-1] < 0).any()):
+            return f"replication {r}: H must be non-decreasing from H(0) >= 0"
+        previous_h = h
+        if abs(float(mv[0, 0])) > 1e-12:
+            return f"replication {r}: M(0) must be 0"
+        if min(x.end, m.end, h.end) < horizon:
+            return f"replication {r}: paths end before the horizon {horizon}"
+        pts = np.unique(np.concatenate((bp, m.breakpoints, h.breakpoints)))
+        pts = pts[: pts.searchsorted(horizon, "right")]
+        xs, ms, hs = x.values_at(pts)[:, 0], m.values_at(pts)[:, 0], h.values_at(pts)[:, 0]
+        a = np.array([clock(t) for t in pts.tolist()])
+        da = a[1:] - a[:-1]
+        if not (da >= 0).all():
+            j = int(np.argmin(da >= 0)) + 1
+            return f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}"
+        xstar = np.maximum.accumulate(xs)
+        integral = np.concatenate(([0.0], np.cumsum(xstar[:-1] * da)))
+        slack = integral + ms + hs - xs
+        if (slack < -1e-9).any():
+            j = int(np.argmin(slack))
+            return (f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
+                    f"(X={xs[j]:.6g} > bound={xs[j] + slack[j]:.6g})")
+    return None
+
+
+def broken(parts, rule, r):
+    """Break `rule` in replication r of parts = [x_paths, m_paths, h_paths], on r's own grid."""
+    x, m, h = (paths[r] for paths in parts)
+    if rule == "h-falls":
+        v = h.values.copy()
+        v[40] = v[39] - 1.0
+        parts[2][r] = s.CadlagPath(h.breakpoints, v, h.end)
+        return
+    path, j, value = {
+        "x-negative": (x, 50, -1.0),
+        "assumption": (x, 30, x.values[30, 0] + 100.0),
+        "m-start": (m, 0, 0.5),
+    }[rule]
+    v = path.values.copy()
+    v[j] = value
+    parts[0 if path is x else 1][r] = s.CadlagPath(path.breakpoints, v, path.end)
+
+
+def on_copied_grids(parts, rows):
+    """Rebuild the given replications on copies of their breakpoints, so they take the union path."""
+    for paths in parts:
+        for r in rows:
+            p = paths[r]
+            paths[r] = s.CadlagPath(p.breakpoints.copy(), p.values, p.end)
+
+
+class TestRowBlocks:
+    # 600 replications of a 65-point grid: three row blocks, rows 0-251, 252-503 and 504-599.
+    REPLICATIONS = 600
+
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        return s.gbm_squared_ensemble(self.REPLICATIONS, 0.5, seed=31)
+
+    def outcome(self, ens, parts):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return ens.clock(u)
+
+        try:
+            s.GronwallEnsemble(*parts, s.MonotoneFunction(counted), ens.horizon, ens.p)
+        except EnsembleError as e:
+            return str(e), calls
+        return None, calls
+
+    def test_the_ensemble_spans_three_blocks(self, ensemble):
+        # the cases below break rules in different blocks only while this holds
+        assert len(ensemble.x_paths[0].breakpoints) == 65
+        assert gronwall._BLOCK_POINTS // 65 == 252
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("assumption", 300), ("x-negative", 520)),
+            (("x-negative", 100), ("assumption", 300)),
+            (("m-start", 260), ("assumption", 10)),
+            (("h-falls", 590), ("x-negative", 400)),
+            (("assumption", 251), ("m-start", 252)),
+            (("x-negative", 320), ("assumption", 300)),
+        ],
+        ids=["assumption-then-x", "x-then-assumption", "assumption-first", "x-before-h", "block-edge", "one-block"],
+    )
+    @pytest.mark.parametrize("copied", [(), range(0, 600, 3)], ids=["shared", "mixed"])
+    def test_the_first_failing_replication_is_named(self, ensemble, first, second, copied):
+        parts = [list(ensemble.x_paths), list(ensemble.m_paths), list(ensemble.h_paths)]
+        for rule, r in (first, second):
+            broken(parts, rule, r)
+        on_copied_grids(parts, copied)
+        want = reference_problem(*parts, ensemble.clock, ensemble.horizon)
+        r = min(first[1], second[1])
+        assert want.startswith(f"replication {r}: ")
+        assert self.outcome(ensemble, parts)[0] == want
+
+    @pytest.mark.parametrize("copied", [range(0, 600, 3), range(250, 260), [599]], ids=["every-third", "a-run", "last"])
+    def test_shared_and_copied_grids_mix(self, ensemble, copied):
+        parts = [list(ensemble.x_paths), list(ensemble.m_paths), list(ensemble.h_paths)]
+        on_copied_grids(parts, copied)
+        assert sum(p.breakpoints is not ensemble.x_paths[0].breakpoints for p in parts[0]) == len(copied)
+        problem, calls = self.outcome(ensemble, parts)
+        assert problem is None
+        assert calls == [0.0] + ensemble.x_paths[0].breakpoints.tolist() * self.REPLICATIONS    # A(0), then every point
+
+
 class TestLenglartTail:
     def test_deterministic_pair(self):
         rep = s.lenglart_tail(*constant_pairs(1.0, 50), c=2.0, d=5.0)
@@ -536,8 +664,38 @@ class TestGenerators:
         assert rep.lhs == 1.2218617906199845
 
 
+class DrawLog:
+    """Stand-in for gronwall.stream: counts draws, keeps weak references to the blocks, and
+    raises `failure` at draw number `fail_at`."""
+
+    def __init__(self, fail_at=None, failure=None):
+        self.drawn, self.blocks, self.fail_at, self.failure = 0, [], fail_at, failure
+
+    def stream(self, seed, k):
+        return self
+
+    def standard_normal(self, size):
+        self.drawn += 1
+        if self.drawn == self.fail_at:
+            raise self.failure
+        block = np.zeros(size)
+        self.blocks.append(weakref.ref(block))
+        return block
+
+    def alive(self) -> int:
+        return sum(ref() is not None for ref in self.blocks)
+
+    def wait_for(self, drawn: int):
+        """Wait until `drawn` draws were made, then a little longer, for a producer that would go on."""
+        deadline = time.monotonic() + 10.0
+        while self.drawn < drawn and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)
+        assert self.drawn == drawn
+
+
 class TestIncrementPipeline:
-    """_brownian_increments draws each next block on one worker thread."""
+    """_brownian_increments draws ahead on one producer thread, through a one-slot hand-off."""
 
     # 436 rows of 300 steps fit in a block: chunk 0 is ten blocks, chunk 1 one.
     REPLICATIONS, STEPS = _CHUNK + 4, 300
@@ -579,6 +737,49 @@ class TestIncrementPipeline:
             next(blocks)
         assert raised.value is failure
         assert threading.active_count() == start
+
+    def blocks(self):
+        return _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
+
+    def test_closing_while_the_producer_waits_on_a_full_slot(self, monkeypatch):
+        log = DrawLog()
+        monkeypatch.setattr(gronwall, "stream", log.stream)
+        start = threading.active_count()
+        blocks = self.blocks()
+        next(blocks)
+        # the caller holds block 1 and the slot block 2; block 3 waits for the slot
+        log.wait_for(3)
+        t0 = time.monotonic()
+        blocks.close()
+        assert time.monotonic() - t0 < 5.0
+        assert log.drawn == 3
+        assert threading.active_count() == start
+
+    def test_a_draw_that_fails_behind_a_full_slot_raises_after_it(self, monkeypatch):
+        failure = FloatingPointError("draw failed")
+        log = DrawLog(fail_at=3, failure=failure)
+        monkeypatch.setattr(gronwall, "stream", log.stream)
+        start = threading.active_count()
+        blocks = self.blocks()
+        next(blocks)
+        log.wait_for(3)    # the third draw has raised while block 2 still waits in the slot
+        assert not next(blocks).any()
+        with pytest.raises(FloatingPointError) as raised:
+            next(blocks)
+        assert raised.value is failure
+        assert threading.active_count() == start
+
+    def test_at_most_three_blocks_are_alive(self, monkeypatch):
+        log = DrawLog()
+        monkeypatch.setattr(gronwall, "stream", log.stream)
+        most = 0
+        for received, block in enumerate(self.blocks(), start=1):
+            log.wait_for(min(received + 2, 11))
+            most = max(most, log.alive())
+        del block
+        # the block held here, the one in the slot and the one drawn next
+        assert most == 3
+        assert log.alive() == 0
 
 
 class TestCounterexampleStats:

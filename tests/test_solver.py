@@ -142,6 +142,14 @@ class TestEulerSolve:
         )
         assert rep.slope == pytest.approx(-0.5, abs=0.15)
 
+    def test_a_zero_mean_error_has_no_order(self):
+        # With mu = sigma = 0 every Euler endpoint is exact; the slope read nan
+        # (log of 0) and the run failed only when report.json was written.
+        with pytest.raises(ValueError, match="mean error is 0 at a resolution of \\[8, 16\\]"):
+            s.strong_convergence(
+                gbm(mu=0.0, sigma=0.0), ONE_WIENER, [8, 16], 1.0, 4, 5, gbm_exact_terminal(0.0, 0.0, 1.0, 1.0)
+            )
+
     def test_jump_model_terminal_value_exact(self):
         # dX = gamma xi dM~: terminal value is gamma (sum of marks - mean * lambda * T)
         gamma, lam = 2.0, 3.0

@@ -14,6 +14,9 @@ rounds and the change first in odd ones:
   Wiener component, the vector (row) side of the solver's walk
 - validate: `GronwallEnsemble` validation of a 1 500-replication
   `gbm_squared_ensemble` (p = 0.5, n = 64), built once before the rounds
+- validate-union: the same ensemble with every path rebuilt on a copy of its
+  breakpoints, so X, M and H share no array and validation reads each
+  replication on the union of their breakpoints
 - lenglart: `lenglart_moment` (p = 0.5) on `brownian_square_pairs(2000, 2048, seed)`,
   one chunk of streams
 - lenglart-6000: the same at the `inequality-lab` size, 6000 replications,
@@ -72,12 +75,16 @@ def euler(workload: str):
     return make, SOLVES * round(n * T), "step"
 
 
-def validate(pkg, seed: int):
-    ens = pkg.gbm_squared_ensemble(VALIDATE_REPLICATIONS, 0.5, seed)
-    run = lambda: pkg.GronwallEnsemble(
-        ens.x_paths, ens.m_paths, ens.h_paths, ens.clock, ens.horizon, ens.p, ens.h_predictable
-    )
-    return run, lambda checked: dataclasses.astuple(pkg.verify_gronwall(checked, "c"))
+def validate(copied: bool):
+    def make(pkg, seed: int):
+        ens = pkg.gbm_squared_ensemble(VALIDATE_REPLICATIONS, 0.5, seed)
+        paths = ens.x_paths, ens.m_paths, ens.h_paths
+        if copied:
+            paths = [[pkg.CadlagPath(p.breakpoints.copy(), p.values, p.end) for p in ps] for ps in paths]
+        run = lambda: pkg.GronwallEnsemble(*paths, ens.clock, ens.horizon, ens.p, ens.h_predictable)
+        return run, lambda checked: dataclasses.astuple(pkg.verify_gronwall(checked, "c"))
+
+    return make, VALIDATE_REPLICATIONS, "replication"
 
 
 def lenglart(replications: int):
@@ -100,7 +107,8 @@ def conditions(pkg, seed: int):
 # name -> (make(pkg, seed) -> (run, report), units per round, unit)
 WORKLOADS = {
     **{name: euler(name) for name in EULER},
-    "validate": (validate, VALIDATE_REPLICATIONS, "replication"),
+    "validate": validate(copied=False),
+    "validate-union": validate(copied=True),
     "lenglart": lenglart(2000),
     "lenglart-6000": lenglart(6000),
     "conditions": (conditions, 3 * CONDITION_SAMPLES, "sample"),
