@@ -151,22 +151,31 @@ def _check_row_block(clock: MonotoneFunction, first: int, block: list) -> None:
 
     Row i of the block is replication first + i, as (ts, xs, ms, hs): the
     list of its points, k in every row, and X, M and H there as (k, 1)
-    arrays.  A is read once per point, row after row; X >= 0, that A is
-    non-decreasing and the assumption inequality are then tested on (rows, k)
-    arrays, in that order within a row.
+    arrays.  A is read once per point, row after row; that X, M and H are
+    finite, X >= 0, that A is non-decreasing and the assumption inequality
+    are then tested on (rows, k) arrays, in that order within a row.
     """
     ts, xs, ms, hs = zip(*block)
     rows, k = len(ts), len(ts[0])
     a = np.fromiter((clock(t) for row in ts for t in row), float, rows * k).reshape(rows, k)
-    x, m, h = (np.concatenate(v).reshape(rows, k) for v in (xs, ms, hs))
+    xmh = np.concatenate(xs + ms + hs).reshape(3, rows, k)
+    x, m, h = xmh
     da = a[:, 1:] - a[:, :-1]
+    finite = np.isfinite(xmh)
+    # a per-row reduction costs twice the one over the whole block
+    finite = np.ones(rows, bool) if finite.all() else finite.all(axis=2).all(axis=0)
     negative, rising = (x < 0).any(axis=1), da >= 0
-    slack = _running_sup_clock_integral(x, da) + m + h - x
-    failing = negative | ~rising.all(axis=1) | (slack < -_ASSUMPTION_TOL).any(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf from an infinite X, M or H, refused below
+        slack = _running_sup_clock_integral(x, da) + m + h - x
+    failing = ~finite | negative | ~rising.all(axis=1) | (slack < -_ASSUMPTION_TOL).any(axis=1)
     if not failing.any():
         return
     i = int(failing.argmax())
     r, pts, x, slack = first + i, ts[i], x[i], slack[i]
+    if not finite[i]:
+        bad = ~np.isfinite(xmh[:, i])
+        j = int(bad.any(axis=0).argmax())
+        raise EnsembleError(f"replication {r}: {'XMH'[int(bad[:, j].argmax())]} is not finite at t={pts[j]:.6g}")
     if negative[i]:
         raise EnsembleError(f"replication {r}: X takes a negative value")
     if not rising[i].all():
@@ -184,22 +193,23 @@ class GronwallEnsemble:
     """Simulated (X, M, H) trajectories with a shared deterministic clock A.
 
     Construction validates the shape invariants (a finite horizon > 0 that
-    every path reaches, X >= 0, H non-decreasing from H(0) >= 0, M starting at
-    0, A(0) = 0 and A non-decreasing on the union of breakpoints) and the
-    assumption inequality
+    every path reaches, X, M and H finite up to it, X >= 0, H non-decreasing
+    from H(0) >= 0, M starting at 0, A(0) = 0 and A non-decreasing on the
+    union of breakpoints) and the assumption inequality
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
     replication; failing ensembles are rejected outright, naming the first
     failing replication.  A is read at every point of every replication's
     grid up to the horizon.  A replication whose X, M and H share one
     breakpoint array is read on that array with no union.
 
-    X >= 0 up to the horizon, A's monotonicity and the assumption inequality
-    are tested on row blocks: runs of consecutive replications with the same
-    number of points k, whatever their grids, at most _BLOCK_POINTS points in
-    all, each checked as one pass over (rows, k) arrays that gives every row
-    the bits it would have alone.  A block is checked when the next
-    replication does not fit in it or breaks another invariant, so on a
-    failing ensemble A is also read on the rest of the failing block.
+    Finiteness, X >= 0 up to the horizon, A's monotonicity and the
+    assumption inequality are tested on row blocks: runs of consecutive
+    replications with the same number of points k, whatever their grids, at
+    most _BLOCK_POINTS points in all, each checked as one pass over (rows, k)
+    arrays that gives every row the bits it would have alone.  A block is
+    checked when the next replication does not fit in it or breaks another
+    invariant, so on a failing ensemble A is also read on the rest of the
+    failing block.
 
     h_predictable is a construction-time certificate, set only by generators
     that build H from deterministic or left-continuous data; it is not

@@ -292,7 +292,7 @@ def build_noise(
     if rate > 0:
         return MartingaleMeasureSpec(
             wiener_count=wiener,
-            intensity=lambda t: rate,
+            intensity=rate,
             intensity_bound=rate,
             mark_sampler=uniform_marks(mark_low, mark_high),
             quadrature_nodes=quadrature_nodes,

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
-from typing import Callable, Optional, Sequence
+from numbers import Real
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import NoiseSpecError
-from .paths import CadlagPath, PathBuilder, constant_path
+from .paths import CadlagPath, PathBuilder
 from .streams import QUADRATURE_STREAM, stream
 
 __all__ = [
@@ -68,17 +69,19 @@ def uniform_marks(low, high) -> Callable:
 class MartingaleMeasureSpec:
     """Description of the driving noise: Wiener count plus compensated Poisson part.
 
-    intensity is lambda(t) >= 0 (locally integrable on the horizon), None for
-    no jumps; intensity_bound is a finite dominating constant for thinning,
-    positive when an intensity is given.  mark_sampler draws i.i.d. marks
-    from mu; mu being a probability measure is the sampler's contract.  A
-    sampler may return a 1-d array of scalar marks; coefficients still see
+    intensity is lambda(t) >= 0 (locally integrable on the horizon): a
+    callable of t, called and checked on every use, or a real number, the
+    constant rate, checked once at construction and stored as a float; None
+    for no jumps.  intensity_bound is a finite dominating constant for
+    thinning, positive when an intensity is given.  mark_sampler draws i.i.d.
+    marks from mu; mu being a probability measure is the sampler's contract.
+    A sampler may return a 1-d array of scalar marks; coefficients still see
     each mark as a 1-d row.  quadrature_nodes (>= 1) frozen marks serve every
     node quadrature over mu.
     """
 
     wiener_count: int = 0
-    intensity: Optional[Callable[[float], float]] = None
+    intensity: Union[Callable[[float], float], float, None] = None
     intensity_bound: float = 0.0
     mark_sampler: Optional[Callable] = None
     quadrature_nodes: int = 64
@@ -94,11 +97,21 @@ class MartingaleMeasureSpec:
             raise NoiseSpecError("jump intensity given but no mark sampler to draw from")
         if self.quadrature_nodes < 1:
             raise NoiseSpecError(f"quadrature_nodes must be >= 1, got {self.quadrature_nodes}")
+        if self.intensity is not None and not callable(self.intensity):
+            if not isinstance(self.intensity, Real):
+                raise NoiseSpecError(f"intensity must be a callable or a real number, got {self.intensity!r}")
+            object.__setattr__(self, "intensity", self._checked("t", float(self.intensity)))
 
     def rate(self, t: float) -> float:
-        if self.intensity is None:
+        lam = self.intensity
+        if lam is None:
             return 0.0
-        lam = float(self.intensity(t))
+        if type(lam) is float:  # a constant rate, checked at construction
+            return lam
+        return self._checked(t, float(lam(t)))
+
+    def _checked(self, t, lam: float) -> float:
+        """lam, the rate at t, once it lies in [0, intensity_bound]; NoiseSpecError otherwise."""
         # One chained test on the hot path; a NaN fails it too.
         if not 0 <= lam <= self.intensity_bound * (1 + 1e-12):
             if lam < 0:
@@ -170,13 +183,12 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     """
     rng = stream(*stream_id)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+    if grid.ndim != 1 or grid.size < 2 or not ((dt := np.diff(grid)) > 0).all():
         raise ValueError("grid must be increasing with at least two points")
     if grid[0] != 0.0:
         raise ValueError("grid must start at 0")
     T = float(grid[-1])
 
-    dt = np.diff(grid)
     # A zero-width draw leaves the stream where it was.
     dW = rng.standard_normal((dt.size, spec.wiener_count)) * np.sqrt(dt)[:, None]
 
@@ -185,8 +197,13 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
         count = int(rng.poisson(lam_bar * T))
         times = np.sort(rng.random(count) * T)
         accept_u = rng.random(count)
-        keep = [t > 0 and u * lam_bar < spec.rate(t) for t, u in zip(times.tolist(), accept_u.tolist())]
-        times = times[np.array(keep, dtype=bool)]
+        # a candidate at t = 0 lies outside (0, T]; sorted, any such come first
+        first = int(times.searchsorted(0.0, "right"))
+        times, accept_u = times[first:], accept_u[first:]
+        lam = spec.intensity
+        if type(lam) is not float:  # a callable, called and checked at every candidate
+            lam = np.array([spec.rate(t) for t in times.tolist()], dtype=float)
+        times = times[accept_u * lam_bar < lam]
         marks = _mark_rows(spec.mark_sampler(rng, times.size))
     else:
         times = np.empty(0)
@@ -214,7 +231,7 @@ def _cells(spec, real) -> list:
     te = real.event_times
     # A NaN fails every comparison, so it is refused wherever it stands.
     if len(real.event_marks) != count or count and not (
-        te[0] > 0 and te[-1] <= real.horizon and np.all(np.diff(te) > 0)
+        te[0] > 0 and te[-1] <= real.horizon and (te[1:] > te[:-1]).all()
     ):
         raise ValueError(
             f"realization events need strictly increasing times in (0, {real.horizon}] and one "
@@ -307,7 +324,8 @@ def integrate(
     entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
     d = 1 if d is None else d
     start = float(real.grid[0])
-    builder = PathBuilder(constant_path(np.zeros(d), start, start), real.horizon, len(entries))
+    seed = CadlagPath._trusted(np.array([start]), np.zeros((1, d)), start, tail=start)
+    builder = PathBuilder(seed, real.horizon, len(entries))
     level = 0.0 if d == 1 else np.zeros(d)
     for t, _, delta, is_jump in entries:
         if delta is not None:

@@ -166,6 +166,9 @@ class PathBuilder:
         self._vals = np.empty((m + capacity, d), dtype=float)
         self._bp[:m] = seed_path.breakpoints
         self._vals[:m] = seed_path.values
+        # where a float value goes: the one column, through a flat view of
+        # it, or every entry of its row when there are more columns
+        self._floats = self._vals[:, 0] if d == 1 else self._vals
         self._n = m
         self._last = float(seed_path.breakpoints[-1])
         self._end = float(end)
@@ -175,7 +178,10 @@ class PathBuilder:
         if t <= self._last:
             raise ValueError(f"appends must strictly increase in time ({t})")
         self._bp[self._n] = t
-        self._vals[self._n] = value
+        if type(value) is float:
+            self._floats[self._n] = value
+        else:
+            self._vals[self._n] = value
         self._n += 1
         self._last = t
         if jump:
@@ -212,8 +218,8 @@ def sup_distance(p: CadlagPath, q: CadlagPath, a: float, b: float) -> float:
 
 def path_csv_lines(path: CadlagPath, lead: str = ""):
     """One CSV line per breakpoint: lead, then t, x_1..x_d in repr form."""
-    rows = zip(path.breakpoints.tolist(), path.values.tolist())
-    return (f"{lead}{t!r},{','.join(map(repr, row))}\n" for t, row in rows)
+    line = lead.replace("%", "%%") + "%r," + ",".join(["%r"] * path.dimension) + "\n"
+    return map(line.__mod__, zip(path.breakpoints.tolist(), *path.values.T.tolist()))
 
 
 def write_path_csv(path: CadlagPath, fh):

@@ -260,6 +260,28 @@ class TestVerify:
                 parts["x"], parts["m"], parts["h"], s.MonotoneFunction(parts["clock"]), 1.0, parts["p"]
             )
 
+    @pytest.mark.parametrize(
+        "x, m, h, problem",
+        [
+            ((math.nan, 1.0), (math.nan, 0.0), (1.0, 1.0), "X is not finite at t=0"),
+            ((1.0, 1.0), (0.0, math.nan), (1.0, 1.0), "M is not finite at t=0.5"),
+            ((1.0, math.inf), (0.0, 0.0), (1.0, 1.0), "X is not finite at t=0.5"),
+            ((1.0, 1.0), (0.0, -math.inf), (1.0, 1.0), "M is not finite at t=0.5"),
+            ((1.0, 1.0), (0.0, 0.0), (1.0, math.inf), "H is not finite at t=0.5"),
+        ],
+        ids=["x-and-m-nan", "m-nan", "x-inf", "m-minus-inf", "h-inf"],
+    )
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-grid", "union-grid"])
+    def test_a_non_finite_value_names_its_replication(self, x, m, h, problem, shared):
+        # X = M = NaN was accepted, and verify_gronwall read lhs nan, 'violated'.
+        bp = np.array([0.0, 0.5])
+        grid = (lambda: bp) if shared else bp.copy
+        one, zero = (s.CadlagPath(grid(), np.array([[v], [v]]), 1.0) for v in (1.0, 0.0))
+        bad = [s.CadlagPath(grid(), np.array(v)[:, None], 1.0) for v in (x, m, h)]
+        paths = [[p, b, p] for p, b in zip((one, zero, one), bad)]
+        with pytest.raises(EnsembleError, match=rf"^replication 1: {problem}$"):
+            s.GronwallEnsemble(*paths, s.MonotoneFunction(lambda u: u), 1.0, 0.5)
+
     @pytest.mark.parametrize("h_index, r", [((0, 0, 1), 2), ((1, 1, 1), 0), ((0, 1, 0), 1)],
                              ids=["distinct", "shared", "between-shared"])
     def test_a_falling_h_names_its_first_replication(self, h_index, r):

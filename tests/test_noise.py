@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdelab as s
 from sdelab.errors import NoiseSpecError
@@ -402,3 +403,53 @@ def test_node_sum_adds_in_node_order():
     )
     terms = iter([1e16, 1.0, -1e16])
     assert spec.node_sum(lambda xi: next(terms)) == 0.0
+
+
+def constant_and_callable(rate, bound):
+    """One Wiener component and jumps at `rate`, given as a number and as the equal callable."""
+    make = lambda intensity: s.MartingaleMeasureSpec(
+        wiener_count=1, intensity=intensity, intensity_bound=bound, mark_sampler=s.uniform_marks(0.0, 1.0)
+    )
+    return make(rate), make(lambda t: rate)
+
+
+def path_bits(p):
+    return p.breakpoints.tobytes(), p.values.tobytes(), p.jump_times
+
+
+class TestConstantIntensity:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        bound=st.floats(0.01, 20.0), share=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+        n=st.integers(1, 16), steps=st.integers(1, 24), seed=st.integers(0, 2**32),
+    )
+    def test_a_number_and_the_equal_callable_give_the_same_bits(self, bound, share, n, steps, seed):
+        # The number is checked once and compared to thinning uniforms as an
+        # array; the callable is called and checked per candidate and entry.
+        rate = bound * share
+        const, fn = constant_and_callable(rate, bound)
+        assert const.intensity == const.rate(0.5) == rate
+        grid = s.euler_grid(n, steps / n)
+        reals = [s.sample_noise(spec, grid, (seed, 3)) for spec in (const, fn)]
+        bits = [[a.tobytes() for a in dataclasses.astuple(real)] for real in reals]
+        assert bits[0] == bits[1]
+        model = geometric_jump(gamma=0.5)
+        solves = [path_bits(s.euler_solve(model, spec, n, steps / n, (seed, 3))) for spec in (const, fn)]
+        assert solves[0] == solves[1]
+        # no closed-form compensator: node quadrature reads the rate at every entry
+        integrals = [path_bits(s.integrate(scalar_mark_integrand(0.7), spec, reals[0])) for spec in (const, fn)]
+        assert integrals[0] == integrals[1]
+
+    @pytest.mark.parametrize(
+        "rate, problem",
+        [
+            (-1.0, r"^intensity lambda\(t\) = -1.0 < 0$"),
+            (2.0, r"^intensity lambda\(t\) = 2.0 exceeds the bound 1.0$"),
+            (math.nan, r"^intensity lambda\(t\) = nan is not a number$"),
+            ("1.0", "^intensity must be a callable or a real number, got '1.0'$"),
+        ],
+        ids=["negative", "over-bound", "nan", "string"],
+    )
+    def test_a_bad_constant_is_refused_at_construction(self, rate, problem):
+        with pytest.raises(NoiseSpecError, match=problem):
+            s.MartingaleMeasureSpec(intensity=rate, intensity_bound=1.0, mark_sampler=s.uniform_marks(0.0, 1.0))

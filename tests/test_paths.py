@@ -149,6 +149,27 @@ def test_csv_lines_put_the_lead_before_each_row():
     assert buf.getvalue() == "t,x_1,x_2\n" + "".join(path_csv_lines(p))
 
 
+def test_csv_lines_take_a_lead_with_percent_signs_as_it_is():
+    p = CadlagPath(np.array([0.0, 0.1]), np.array([[1 / 3, -0.0], [1e-300, 2.5]]), 1.0)
+    assert list(path_csv_lines(p, "%d%%r,")) == [
+        "%d%%r,0.0,0.3333333333333333,-0.0\n", "%d%%r,0.1,1e-300,2.5\n"
+    ]
+
+
+def test_a_float_append_stores_what_a_one_entry_row_does():
+    values = [1 / 3, -0.0, 1e-300, math.inf, math.nan, -2.5]
+    paths = []
+    for as_row in (False, True):
+        builder = PathBuilder(constant_path(0.5, 0.0, 0.0), 7.0, len(values))
+        for t, v in enumerate(values, 1):
+            builder.append(float(t), np.array([v]) if as_row else v, jump=t % 2 == 0)
+        paths.append(builder.finish())
+    floats, rows = paths
+    assert floats.values.tobytes() == rows.values.tobytes()
+    assert floats.breakpoints.tobytes() == rows.breakpoints.tobytes()
+    assert floats.jump_times == rows.jump_times == (2.0, 4.0, 6.0)
+
+
 @pytest.mark.parametrize(
     "query",
     [

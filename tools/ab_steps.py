@@ -23,6 +23,11 @@ rounds and the change first in odd ones:
   which cross a chunk boundary
 - conditions: `check_condition` C1, C2 and C4 for `geometric-jump` with one
   Wiener component, jump rate 2, radius 10 and 300 samples
+- trajectories: `path_csv_lines` over the 500 `jump-simulate` paths
+  (`geometric-jump` at jump rate 16, n = 16, T = 4), solved once before the
+  rounds, each with its replication as the lead, as `trajectories.csv` has it
+- thin: 500 `sample_noise` calls at jump rate 16 on the `jump-simulate`
+  grid, one Wiener component
 
 A solve draws its noise from stream (seed, r), as the runners do.  Prints
 each side's minimum and median round time and the minimum per step,
@@ -49,6 +54,13 @@ EULER = {
     "geometric-jump": ("geometric-jump", {"rate_bound": 16.0}, {"wiener": 1, "jump_rate": 16.0}, 16, 4.0),
     "linear-dim2": ("linear", {"dim": 2}, {"wiener": 1}, 128, 1.0),
 }
+
+# the jump-simulate workload's model, noise, n and T, and its replications
+JUMP_SIMULATE = (
+    "geometric-jump", {"mu": 0.05, "sigma": 0.2, "gamma": 0.1, "rate_bound": 16.0, "x0": 1.0},
+    {"wiener": 1, "jump_rate": 16.0}, 16, 4.0,
+)
+JUMP_REPLICATIONS = 500
 
 VALIDATE_REPLICATIONS = 1500
 LENGLART_GRID = 2048
@@ -104,6 +116,23 @@ def conditions(pkg, seed: int):
     return run, lambda reports: [r.to_dict() for r in reports]
 
 
+def trajectories(pkg, seed: int):
+    model_name, params, noise, n, T = JUMP_SIMULATE
+    model = pkg.models.build_model(model_name, params)
+    spec = pkg.models.build_noise(**noise)
+    paths = [pkg.euler_solve(model, spec, n, T, (seed, r), replication=r) for r in range(JUMP_REPLICATIONS)]
+    run = lambda: ["".join(pkg.paths.path_csv_lines(p, f"{r},")) for r, p in enumerate(paths)]
+    return run, lambda text: text
+
+
+def thin(pkg, seed: int):
+    _, _, noise, n, T = JUMP_SIMULATE
+    spec, grid = pkg.models.build_noise(**noise), pkg.euler_grid(n, T)
+    run = lambda: [pkg.sample_noise(spec, grid, (seed, r)) for r in range(JUMP_REPLICATIONS)]
+    # grid, Wiener increments, event times and marks, bit for bit
+    return run, lambda reals: [[a.tobytes() for a in dataclasses.astuple(real)] for real in reals]
+
+
 # name -> (make(pkg, seed) -> (run, report), units per round, unit)
 WORKLOADS = {
     **{name: euler(name) for name in EULER},
@@ -112,6 +141,8 @@ WORKLOADS = {
     "lenglart": lenglart(2000),
     "lenglart-6000": lenglart(6000),
     "conditions": (conditions, 3 * CONDITION_SAMPLES, "sample"),
+    "trajectories": (trajectories, JUMP_REPLICATIONS, "path"),
+    "thin": (thin, JUMP_REPLICATIONS, "realization"),
 }
 
 
