@@ -7,8 +7,9 @@ The seed can also come from SDE_SEED; precedence is flag > environment >
 config file, and the environment variable is read only when the flag is
 absent.  The override, as text, takes the config key's check, so a value that
 is not an integer is a config error too, for `validate` as for `run`.  A run
-that fails after its config loaded ends stderr with the command that replays
-it.  A usage error exits 1, like every operational error.
+that fails after its config loaded, an arithmetic overflow included, ends
+stderr with the command that replays it.  A usage error exits 1, like every
+operational error.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def main(argv=None) -> int:
         return run_experiment(cfg, out_dir=args.out)
     except (SdeLabError, ValueError) as exc:
         message = f"error: {exc}"
+    except ArithmeticError as exc:  # such as an OverflowError of math.exp or of a float power
+        message = f"error: {type(exc).__name__}: {exc}"
     except MemoryError as exc:
         message = f"error: out of memory: {exc}"
     except OSError as exc:

@@ -22,7 +22,7 @@ import yaml
 
 from .conditions import CONDITIONS
 from .errors import ConfigError
-from .models import MODEL_NAMES, ORACLE_MODELS, envelope_problems, model_param_names, noise_problems
+from .models import MODEL_NAMES, ORACLE_MODELS, envelope_problems, model_param_names, noise_problems, param_problems
 from .solver import euler_steps
 from .streams import KEY_LIMIT
 
@@ -148,6 +148,7 @@ def _model_params(key, params, parsed):
             )
         else:
             problems += _prefixed("model parameter ", _number, k, v)
+    problems = problems or param_problems(params)
     if problems:
         raise ConfigError(problems)
     return params

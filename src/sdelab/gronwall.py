@@ -48,8 +48,8 @@ __all__ = [
 # One-sided 99% normal quantile.
 Z_ONE_SIDED = 2.3263478740408408
 
-# Absolute slack allowed in the assumption inequality, for rounding in the
-# running-sup Stieltjes sums.
+# Slack allowed in the assumption inequality, for rounding in the running-sup
+# Stieltjes sums: absolute, or relative to the size of the summed terms.
 _ASSUMPTION_TOL = 1e-9
 
 # Replications per chunk of the vectorised generators (_brownian_increments).
@@ -123,6 +123,29 @@ def _running_sup_clock_integral(xs: np.ndarray, da: np.ndarray) -> np.ndarray:
     return out
 
 
+def _union_reading(grids: tuple, horizon: float):
+    """How to read a replication whose X, M and H have the breakpoint arrays `grids`.
+
+    Returns the union of the three sets up to the horizon as a list, whether
+    X has a breakpoint past the horizon, and one selector per path that takes
+    its values at those points from its values array: slice(k) when the
+    path's own breakpoints start with the union's k points, else the index
+    of the segment holding each point.  The union of one array that all
+    three share is that array.  Sorting and a neighbour mask stand in for
+    numpy's unique, whose first call imports numpy.ma (about 1 MiB resident).
+    """
+    if grids[0] is grids[1] is grids[2]:
+        union = grids[0]
+    else:
+        union = np.sort(np.concatenate(grids))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    pts = union[: union.searchsorted(horizon, "right")]
+    k = len(pts)
+    # a path's points up to the horizon are among the union's k, so k of them are all of them
+    select = [slice(k) if b.searchsorted(horizon, "right") == k else b.searchsorted(pts, "right") - 1 for b in grids]
+    return pts.tolist(), grids[0][-1] > horizon, select
+
+
 def _path_problem(
     r: int, x: CadlagPath, m: CadlagPath, h: CadlagPath, test_x: bool, test_h: bool, horizon: float
 ):
@@ -151,9 +174,11 @@ def _check_row_block(clock: MonotoneFunction, first: int, block: list) -> None:
 
     Row i of the block is replication first + i, as (ts, xs, ms, hs): the
     list of its points, k in every row, and X, M and H there as (k, 1)
-    arrays.  A is read once per point, row after row; that X, M and H are
-    finite, X >= 0, that A is non-decreasing and the assumption inequality
-    are then tested on (rows, k) arrays, in that order within a row.
+    arrays.  A is read once per point, row after row; X >= 0, that X, M
+    and H are finite, that A is non-decreasing and the assumption inequality
+    are then tested on (rows, k) arrays, in that order within a row.  The
+    inequality may miss by _ASSUMPTION_TOL, or by _ASSUMPTION_TOL times
+    1 + |int X* dA| + |M| + |H| at the point, the scale its rounding has.
     """
     ts, xs, ms, hs = zip(*block)
     rows, k = len(ts), len(ts[0])
@@ -167,21 +192,25 @@ def _check_row_block(clock: MonotoneFunction, first: int, block: list) -> None:
     negative, rising = (x < 0).any(axis=1), da >= 0
     with np.errstate(invalid="ignore"):  # inf - inf from an infinite X, M or H, refused below
         slack = _running_sup_clock_integral(x, da) + m + h - x
-    failing = ~finite | negative | ~rising.all(axis=1) | (slack < -_ASSUMPTION_TOL).any(axis=1)
+        short = slack < -_ASSUMPTION_TOL
+        if short.any():  # scaled only in a block the absolute test fails: a valid one pays nothing
+            scale = 1.0 + abs(_running_sup_clock_integral(x, da)) + abs(m) + abs(h)
+            short &= slack < -_ASSUMPTION_TOL * scale
+    failing = negative | ~finite | ~rising.all(axis=1) | short.any(axis=1)
     if not failing.any():
         return
     i = int(failing.argmax())
     r, pts, x, slack = first + i, ts[i], x[i], slack[i]
+    if negative[i]:
+        raise EnsembleError(f"replication {r}: X takes a negative value")
     if not finite[i]:
         bad = ~np.isfinite(xmh[:, i])
         j = int(bad.any(axis=0).argmax())
         raise EnsembleError(f"replication {r}: {'XMH'[int(bad[:, j].argmax())]} is not finite at t={pts[j]:.6g}")
-    if negative[i]:
-        raise EnsembleError(f"replication {r}: X takes a negative value")
     if not rising[i].all():
         j = int(np.argmin(rising[i])) + 1
         raise EnsembleError(f"replication {r}: A must be non-decreasing, it falls at t={pts[j]:.6g}")
-    j = int(np.argmin(slack))
+    j = int(np.argmin(np.where(short[i], slack, np.inf)))
     raise EnsembleError(
         f"replication {r}: assumption inequality fails at t={pts[j]:.6g} "
         f"(X={x[j]:.6g} > bound={x[j] + slack[j]:.6g})"
@@ -199,8 +228,9 @@ class GronwallEnsemble:
     X(t) <= int X*(u-) dA(u) + M(t) + H(t) at every breakpoint of every
     replication; failing ensembles are rejected outright, naming the first
     failing replication.  A is read at every point of every replication's
-    grid up to the horizon.  A replication whose X, M and H share one
-    breakpoint array is read on that array with no union.
+    union grid up to the horizon.  How a replication is read on that grid is
+    worked out once for each run of replications whose X, M and H have the
+    same three breakpoint arrays (the same objects), by _union_reading.
 
     Finiteness, X >= 0 up to the horizon, A's monotonicity and the
     assumption inequality are tested on row blocks: runs of consecutive
@@ -237,32 +267,24 @@ class GronwallEnsemble:
         clock, horizon = self.clock, self.horizon
         block, first = [], 0  # the rows of _check_row_block, from replication `first` on
         previous_h = None  # a shared H (one object for every replication) is tested once
-        cut_bp = cut_ts = None  # the last shared breakpoint array and its points up to the horizon
+        grids = None, None, None  # the breakpoint arrays the reading below was worked out for
         for r, (x, m, h) in enumerate(zip(self.x_paths, self.m_paths, self.h_paths)):
-            bp = x.breakpoints
-            shared = m.breakpoints is bp and h.breakpoints is bp
-            if shared and bp is not cut_bp:
-                cut_bp, cut_ts = bp, bp[: bp.searchsorted(horizon, "right")].tolist()
+            xb, mb, hb = x.breakpoints, m.breakpoints, h.breakpoints
+            if xb is not grids[0] or mb is not grids[1] or hb is not grids[2]:
+                grids = xb, mb, hb
+                pts, x_past, (sx, sm, sh) = _union_reading(grids, horizon)
             # the row block holds X at every breakpoint up to the horizon, so it
             # tests X >= 0 unless X has a breakpoint past it
-            test_x = x._tail > horizon
-            problem = _path_problem(r, x, m, h, test_x, h is not previous_h, horizon)
+            problem = _path_problem(r, x, m, h, x_past, h is not previous_h, horizon)
             if problem is not None:
                 if block:
                     _check_row_block(clock, first, block)
-                if not test_x:  # X's rule comes before the one that failed
+                if not x_past:  # X's rule comes before the one that failed
                     problem = _path_problem(r, x, m, h, True, h is not previous_h, horizon)
                 raise EnsembleError(problem)
             previous_h = h
-            # every path starts at 0, so the sorted union only needs its cut at the horizon
-            if shared:
-                k = len(cut_ts)
-                row = cut_ts, x.values[:k], m.values[:k], h.values[:k]
-            else:
-                pts = np.unique(np.concatenate((bp, m.breakpoints, h.breakpoints)))
-                pts = pts[: pts.searchsorted(horizon, "right")]
-                row = pts.tolist(), x.values_at(pts), m.values_at(pts), h.values_at(pts)
-            k = len(row[0])
+            row = pts, x.values[sx], m.values[sm], h.values[sh]
+            k = len(pts)
             if block and (k != len(block[0][0]) or (len(block) + 1) * k > _BLOCK_POINTS):
                 _check_row_block(clock, first, block)
                 block, first = [], r
@@ -504,11 +526,12 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _two_point_values(q: float, alpha: float) -> tuple[float, float]:
-    """The up/down values of the two-point variable: up w.p. q, -down w.p. 1-q."""
+def _two_point_draws(q: float, alpha: float, replications: int, seed: int, index: int):
+    """up, down and the two-point variable S of each replication, up w.p. q and -down
+    w.p. 1-q, drawn from the stream (seed, index).  up and down are positive."""
     up = (1.0 - q) ** (1.0 - 1.0 / alpha) / q
     down = (1.0 - q) ** (-1.0 / alpha)
-    return up, down
+    return up, down, np.where(stream(seed, index).random(replications) < q, up, -down)
 
 
 @dataclass(frozen=True)
@@ -538,10 +561,8 @@ def counterexample_stats(
     for name, v in (("q", q), ("alpha", alpha), ("p", p)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} must lie in (0,1), got {v}")
-    up, down = _two_point_values(q, alpha)
-    rng = stream(seed, stream_index)
-    heads = rng.random(replications) < q
-    s = np.where(heads, up, -down)
+    up, down, s = _two_point_draws(q, alpha, replications, seed, stream_index)
+    heads = s > 0
     pos_p = np.where(heads, up ** p, 0.0)
     neg_a = np.where(heads, 0.0, down ** alpha)
     lhs_exact = (1.0 - q) ** (p * (1.0 - 1.0 / alpha)) * q ** (1.0 - p)
@@ -568,13 +589,9 @@ def counterexample_ensemble(
     its jump size is only revealed at time 1, which is exactly why the
     variant-'a' bound formula fails on it.
     """
-    up, down = _two_point_values(q, alpha)
-    rng = stream(seed, 0)
-    heads = rng.random(replications) < q
     bp = np.array([0.0, 1.0])
     xs, ms, hs = [], [], []
-    for h in heads:
-        s = up if h else -down
+    for s in _two_point_draws(q, alpha, replications, seed, 0)[2].tolist():
         xs.append(CadlagPath(bp, np.array([[0.0], [max(s, 0.0)]]), 1.0, (1.0,)))
         ms.append(CadlagPath(bp, np.array([[0.0], [s]]), 1.0, (1.0,)))
         hs.append(CadlagPath(bp, np.array([[0.0], [max(-s, 0.0)]]), 1.0, (1.0,)))

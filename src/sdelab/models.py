@@ -32,12 +32,18 @@ __all__ = [
     "build_model",
     "build_noise",
     "model_param_names",
+    "param_problems",
     "noise_problems",
     "envelope_problems",
     "exact_terminal",
     "MODEL_NAMES",
     "ORACLE_MODELS",
 ]
+
+
+def _zero(t, h, mark=None):
+    """The coefficient 0 of a scalar model, as a drift (t, h) or a jump (t, h, mark)."""
+    return np.zeros(1)
 
 
 def gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0) -> CoefficientModel:
@@ -61,14 +67,11 @@ def delay_ode() -> CoefficientModel:
     def drift(t, h):
         return -h.value_at(t - 1.0)
 
-    def jump(t, h, mark):
-        return np.zeros(1)
-
     return CoefficientModel(
         dim=1,
         delay=1.0,
         drift=drift,
-        jump=jump,
+        jump=_zero,
         initial=constant_path(1.0, -1.0, 0.0),
         lipschitz_rate=lambda t, R: 2.0,
         growth_rate=lambda t: 2.0,
@@ -91,8 +94,11 @@ def linear(
 
     C1: g does not depend on the path and 2 <x - y, -(x - y)> <= 0, so the
     monotonicity envelope 2 is generous.  C2: 2 <x, -x> <= 0, so K = k.
-    C4: |f| <= R on the ball of radius R, so K~_R = R + k.
+    C4: |f| <= R on the ball of radius R, so K~_R = R + k.  A dim that
+    param_problems refuses raises ValueError.
     """
+    if problems := param_problems({"dim": dim}):
+        raise ValueError(problems[0])
 
     def drift(t, h):
         return -h.left_limit(t) if t > h.start else -h.value_at(t)
@@ -126,14 +132,11 @@ def superlinear_bad() -> CoefficientModel:
         x = h.value_at(t)
         return x * np.abs(x)
 
-    def jump(t, h, mark):
-        return np.zeros(1)
-
     return CoefficientModel(
         dim=1,
         delay=1.0,
         drift=drift,
-        jump=jump,
+        jump=_zero,
         initial=constant_path(0.0, -1.0, 0.0),
         lipschitz_rate=lambda t, R: 4.0 * R,
         growth_rate=lambda t: 1.0,
@@ -159,9 +162,6 @@ def additive_jumps(
     C4: K~_R = k, for the same reason.
     """
 
-    def drift(t, h):
-        return np.zeros(1)
-
     def jump(t, h, mark):
         if isinstance(mark, (int, np.integer)):
             return np.zeros(1)
@@ -171,7 +171,7 @@ def additive_jumps(
     return CoefficientModel(
         dim=1,
         delay=1.0,
-        drift=drift,
+        drift=_zero,
         jump=jump,
         initial=constant_path(0.0, -1.0, 0.0),
         compensator=lambda t, h: np.array([gamma * mark_mean]),
@@ -270,6 +270,15 @@ def model_param_names(name: str) -> set:
     if name not in _BUILDERS:
         raise ValueError(f"unknown model '{name}'; available: {', '.join(sorted(_BUILDERS))}")
     return set(inspect.signature(_BUILDERS[name]).parameters)
+
+
+def param_problems(params: dict) -> list:
+    """What a factory refuses in these model parameters, named by key: a
+    `dim`, the number of state components, must be an integer >= 1."""
+    dim = params.get("dim", 1)
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        return [f"model parameter 'dim' must be an integer >= 1, got {dim!r}"]
+    return []
 
 
 def build_model(name: str, params: dict | None = None) -> CoefficientModel:

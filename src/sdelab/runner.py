@@ -53,10 +53,14 @@ def _write_csv(path: Path, header: str, rows):
             fh.write("\n")
 
 
+def _model_and_noise(o: dict):
+    """The model and the noise spec that a config's options name."""
+    return build_model(o["model"], o["model_params"]), build_noise(**o["noise"])
+
+
 def _run_simulate(cfg: ExperimentConfig, out: Path):
     o = cfg.options
-    model = build_model(o["model"], o["model_params"])
-    spec = build_noise(**o["noise"])
+    model, spec = _model_and_noise(o)
     reps = o["replications"]
     paths = [
         euler_solve(model, spec, o["n"], o["T"], (cfg.seed, r), replication=r)
@@ -79,8 +83,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
 
 def _run_convergence(cfg: ExperimentConfig, out: Path):
     o = cfg.options
-    model = build_model(o["model"], o["model_params"])
-    spec = build_noise(**o["noise"])
+    model, spec = _model_and_noise(o)
     oracle = exact_terminal(o["model"], o["model_params"], o["noise"], o["T"])
     rep = strong_convergence(
         model, spec, o["resolutions"], o["T"], o["replications"], cfg.seed, oracle
@@ -151,8 +154,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path):
 
 def _run_check_conditions(cfg: ExperimentConfig, out: Path):
     o = cfg.options
-    model = build_model(o["model"], o["model_params"])
-    spec = build_noise(**o["noise"])
+    model, spec = _model_and_noise(o)
     reports = [
         check_condition(
             model, spec, cond, o["radius"], None, o["samples"], cfg.seed, horizon=o["horizon"]

@@ -199,6 +199,22 @@ def coarsen_noise(real: NoiseRealization, factor: int) -> NoiseRealization:
     return NoiseRealization(grid, dW, real.event_times, real.event_marks)
 
 
+def _coupled_solves(model, spec, ns, T, replications, seed):
+    """Per replication r, its noise and an iterator of its solves at each resolution in ns.
+
+    The noise is drawn from the stream (seed, r) on the grid of the finest
+    resolution, and every solve runs on it coarsened to its own grid, in the
+    order of ns.  The solves run as the caller takes them, so it can read the
+    noise first, and must take them all before the next replication.
+    """
+    finest = max(ns)
+    for r in range(replications):
+        fine = sample_noise(spec, euler_grid(finest, T), (seed, r))
+        yield fine, (
+            euler_solve(model, spec, n, T, realization=coarsen_noise(fine, finest // n), replication=r) for n in ns
+        )
+
+
 @dataclass(frozen=True)
 class GapEstimate:
     probability: float
@@ -237,14 +253,8 @@ def resolution_gap(
         raise ValueError(f"m={m} is not a multiple of n={n}")
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    factor = m // n
     hits = 0
-    for r in range(replications):
-        fine = sample_noise(spec, euler_grid(m, T), (seed, r))
-        x_fine = euler_solve(model, spec, m, T, realization=fine, replication=r)
-        x_coarse = euler_solve(
-            model, spec, n, T, realization=coarsen_noise(fine, factor), replication=r
-        )
+    for _, (x_fine, x_coarse) in _coupled_solves(model, spec, (m, n), T, replications, seed):
         if sup_distance(x_coarse, x_fine, 0.0, T) > eps:
             hits += 1
     p, lo, hi = _wilson(hits, replications)
@@ -283,12 +293,9 @@ def strong_convergence(
     if replications < 2:
         raise ValueError(f"need at least 2 replications for a standard error, got {replications}")
     errs = np.zeros((len(ns), replications))
-    for r in range(replications):
-        fine = sample_noise(spec, euler_grid(finest, T), (seed, r))
+    for r, (fine, solves) in enumerate(_coupled_solves(model, spec, ns, T, replications, seed)):
         target = np.atleast_1d(exact_terminal(fine))
-        for j, nv in enumerate(ns):
-            real = coarsen_noise(fine, finest // nv)
-            x = euler_solve(model, spec, nv, T, realization=real, replication=r)
+        for j, x in enumerate(solves):
             diff = x.value_at(x.end) - target
             errs[j, r] = float(np.sqrt(diff @ diff))
     means = errs.mean(axis=1)

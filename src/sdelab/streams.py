@@ -1,9 +1,21 @@
 """Counter-based random number streams.
 
-Every Monte Carlo replication owns an independent Philox stream keyed by
-(experiment seed, replication index).  Streams never share state, so results
-are identical no matter how replications are scheduled across workers, and
-any single replication can be replayed in isolation.
+Every draw of an experiment comes from an independent Philox stream keyed by
+(experiment seed, index).  What the index counts depends on the draw:
+
+* an Euler replication (`simulate`, `convergence`, `resolution_gap`): its
+  replication index;
+* the vectorised Brownian generators (`lenglart`, the `gbm-squared`
+  ensemble): chunk k of 4 096 replications draws from (seed, k);
+* the `counterexample` sweep: q_values[j] draws from (seed, j), and the
+  counterexample ensemble of `verify-gronwall` from (seed, 0);
+* the condition checks (`check-conditions`): sample i draws from (seed, i).
+
+The compensator's quadrature nodes alone come from a fixed key, the one
+reserved index QUADRATURE_STREAM of a fixed seed.
+
+Streams never share state, so a result does not depend on the order the
+streams are drawn in, and any one stream can be replayed in isolation.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ QUADRATURE_STREAM = KEY_LIMIT - 1
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for replication `index` of an experiment seeded by `seed`.
+    """Independent generator for stream `index` of an experiment seeded by `seed`.
 
     Philox is counter-based: distinct (seed, index) keys give statistically
     independent streams with no sequential dependence between them.  Raises

@@ -354,6 +354,16 @@ def test_quadrature_nodes_must_be_a_positive_integer(nodes, tmp_path):
     assert validate_exit(text, tmp_path) == 1
 
 
+@pytest.mark.parametrize("dim", ["1.5", "2.0", "-1", "0"])
+def test_linear_dim_must_be_a_positive_integer(dim, tmp_path):
+    # 1.5 and 2.0 died in np.zeros, -1 failed the run, 0 wrote states with no component.
+    text = MINIMAL_SIMULATE.replace("gbm", "linear") + f"model_params: {{dim: {dim}}}\n"
+    value = yaml.safe_load(f"v: {dim}")["v"]
+    assert problems_of(text) == [f"model parameter 'dim' must be an integer >= 1, got {value!r}"]
+    assert validate_exit(text, tmp_path) == 1
+    assert validate_exit(text.replace(f"dim: {dim}", "dim: 2"), tmp_path) == 0
+
+
 _KNOWN_KEYS = [
     "seed", "output", "threads", "model", "model_params", "noise", "n", "T", "replications",
     "resolutions", "ensemble", "variant", "p", "q", "alpha", "mu", "sigma", "x0", "mode",

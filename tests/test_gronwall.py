@@ -172,6 +172,22 @@ class TestVerify:
                 [big], [zero], [small], s.MonotoneFunction(lambda u: 0.0), 1.0, 0.5
             )
 
+    def test_judges_the_assumption_at_the_scale_of_its_terms(self):
+        # At t = 1 the sums are about 4e18 and round at about 1e3, far above
+        # the construction's margin K t (about 60): an absolute slack of 1e-9
+        # refused this certified ensemble.
+        ens = s.gbm_squared_ensemble(200, 0.5, 1, mu=25.0)
+        assert s.verify_gronwall(ens, "c").holds
+        # X 1e-6 relatively above its bound at t = 1 is still refused
+        x, m, h = ens.x_paths[0], ens.m_paths[0], ens.h_paths[0]
+        a = np.array([ens.clock(t) for t in x.breakpoints.tolist()])
+        integral = gronwall._running_sup_clock_integral(x.values.T, np.diff(a)[None])[0, -1]
+        v = x.values.copy()
+        v[-1] = (integral + m.values[-1] + h.values[-1]) * (1.0 + 1e-6)
+        xs = [s.CadlagPath(x.breakpoints, v, x.end), *ens.x_paths[1:]]
+        with pytest.raises(EnsembleError, match=r"^replication 0: assumption inequality fails at t=1 "):
+            s.GronwallEnsemble(xs, ens.m_paths, ens.h_paths, ens.clock, ens.horizon, ens.p)
+
     def test_accepts_paths_on_different_grids(self):
         # X <= M + H on every segment of the union grid {0, 0.3, 0.5, 0.7}.
         assert three_grid_ensemble(2.0).replications == 1
@@ -268,8 +284,10 @@ class TestVerify:
             ((1.0, math.inf), (0.0, 0.0), (1.0, 1.0), "X is not finite at t=0.5"),
             ((1.0, 1.0), (0.0, -math.inf), (1.0, 1.0), "M is not finite at t=0.5"),
             ((1.0, 1.0), (0.0, 0.0), (1.0, math.inf), "H is not finite at t=0.5"),
+            # X's sign comes first, as when X has a breakpoint past the horizon
+            ((1.0, -math.inf), (0.0, 0.0), (1.0, 1.0), "X takes a negative value"),
         ],
-        ids=["x-and-m-nan", "m-nan", "x-inf", "m-minus-inf", "h-inf"],
+        ids=["x-and-m-nan", "m-nan", "x-inf", "m-minus-inf", "h-inf", "x-minus-inf"],
     )
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-grid", "union-grid"])
     def test_a_non_finite_value_names_its_replication(self, x, m, h, problem, shared):
@@ -321,6 +339,7 @@ class TestHorizonCut:
         "change, problem",
         [
             ({"x": (1.0, 1.2, 2.0, -1.0)}, "replication 0: X takes a negative value$"),
+            ({"x": (1.0, -math.inf, 2.0, 9.0)}, "replication 0: X takes a negative value$"),
             ({"h": (1.5, 1.75, 1.0)}, r"replication 0: H must be non-decreasing from H\(0\) >= 0$"),
             ({"m": (0.25, 0.5)}, r"replication 0: M\(0\) must be 0$"),
             ({"clock": lambda u: 0.0 if u < 1.0 else -1.0}, "replication 0: A must be non-decreasing, it falls at t=1$"),
@@ -330,8 +349,8 @@ class TestHorizonCut:
             ({"x_bp": (0.0,), "x": (1.0,), "x_end": 0.5, "m_bp": (0.0, 0.8)},
              "replication 0: paths end before the horizon 1.0$"),
         ],
-        ids=["x-negative-past", "h-falls-past", "m-start", "clock-falls-at", "assumption-at", "horizon-past-ends",
-             "x-ends-before-an-m-breakpoint"],
+        ids=["x-negative-past", "x-minus-inf", "h-falls-past", "m-start", "clock-falls-at", "assumption-at",
+             "horizon-past-ends", "x-ends-before-an-m-breakpoint"],
     )
     def test_each_rejection_keeps_its_message(self, change, problem):
         with pytest.raises(EnsembleError, match=problem):

@@ -354,8 +354,22 @@ class TestCli:
                 "error: variant 'b' needs M without negative jumps; replication 0 has one",
             ),
             ("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 3\n", True, "i/o error: "),
+            # the bound's math.exp overflows: exp(8 K) with K = 2 mu + sigma^2 + mu^2 / n, about 100
+            (
+                "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+                "sigma: 10.0\nseed: 3\n",
+                False,
+                "error: OverflowError: ",
+            ),
+            # up = (1 - q)^(1 - 1/alpha) / q overflows a float at q = 0.9999, alpha = 0.01
+            (
+                "kind: counterexample\nq_values: [0.5, 0.9999]\np: 0.5\nalpha: 0.01\nreplications: 100\n"
+                "seed: 3\n",
+                False,
+                "error: OverflowError: ",
+            ),
         ],
-        ids=["error", "io-error"],
+        ids=["error", "io-error", "overflow-in-the-bound", "overflow-in-the-two-point-values"],
     )
     def test_failure_lines(self, text, out_is_a_file, first_line, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

@@ -12,27 +12,31 @@ rounds and the change first in odd ones:
 - geometric-jump: 40 solves of `geometric-jump` at jump rate 16, n = 16, T = 4
 - linear-dim2: 40 solves of `linear` with dim 2 at n = 128, T = 1, one
   Wiener component, the vector (row) side of the solver's walk
-- validate: `GronwallEnsemble` validation of a 1 500-replication
-  `gbm_squared_ensemble` (p = 0.5, n = 64), built once before the rounds
+- validate: `GronwallEnsemble` validation of the `gbm_squared_ensemble` of
+  the `inequality-lab` workload (1 500 replications at n = 64), at p = 0.5,
+  built once before the rounds
 - validate-union: the same ensemble with every path rebuilt on a copy of its
   breakpoints, so X, M and H share no array and validation reads each
   replication on the union of their breakpoints
-- lenglart: `lenglart_moment` (p = 0.5) on `brownian_square_pairs(2000, 2048, seed)`,
-  one chunk of streams
+- lenglart: `lenglart_moment` on `brownian_square_pairs(2000, grid_n, seed)`,
+  one chunk of streams, with the `inequality-lab` grid (2 048) and p
 - lenglart-6000: the same at the `inequality-lab` size, 6000 replications,
   which cross a chunk boundary
-- conditions: `check_condition` C1, C2 and C4 for `geometric-jump` with one
-  Wiener component, jump rate 2, radius 10 and 300 samples
+- conditions: the `check_condition` calls of the `inequality-lab` workload
+  (C1, C2 and C4 for `geometric-jump` with one Wiener component, jump rate
+  2, radius 10 and 300 samples)
 - trajectories: `path_csv_lines` over the 500 `jump-simulate` paths
   (`geometric-jump` at jump rate 16, n = 16, T = 4), solved once before the
   rounds, each with its replication as the lead, as `trajectories.csv` has it
-- thin: 500 `sample_noise` calls at jump rate 16 on the `jump-simulate`
-  grid, one Wiener component
+- thin: 500 `sample_noise` calls on the `jump-simulate` noise and grid
 
-A solve draws its noise from stream (seed, r), as the runners do.  Prints
-each side's minimum and median round time and the minimum per step,
-replication or sample, and asserts that both sides give identical paths and
-equal reports.  Needs only the standard library and the numpy that sdelab
+The sizes and configs named after a perfbench workload are read from
+`perfbench/workloads.py` of the repository holding this script, so the
+rounds time what the workloads run.  A solve draws its noise from stream
+(seed, r), as the runners do.  Prints each side's minimum and median round
+time and the minimum per step, replication or sample, and asserts that both
+sides give identical paths and equal reports.  Needs only the standard
+library, the numpy that sdelab imports and the PyYAML that perfbench
 imports.
 """
 
@@ -55,16 +59,19 @@ EULER = {
     "linear-dim2": ("linear", {"dim": 2}, {"wiener": 1}, 128, 1.0),
 }
 
-# the jump-simulate workload's model, noise, n and T, and its replications
-JUMP_SIMULATE = (
-    "geometric-jump", {"mu": 0.05, "sigma": 0.2, "gamma": 0.1, "rate_bound": 16.0, "x0": 1.0},
-    {"wiener": 1, "jump_rate": 16.0}, 16, 4.0,
-)
-JUMP_REPLICATIONS = 500
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS as BENCHMARK  # noqa: E402
 
-VALIDATE_REPLICATIONS = 1500
-LENGLART_GRID = 2048
-CONDITION_SAMPLES = 300
+
+def experiment(workload: str, kind: str) -> dict:
+    """The config of the `kind` experiment of a perfbench workload."""
+    return next(e.config for e in BENCHMARK[workload].experiments if e.config["kind"] == kind)
+
+
+JUMP_SIMULATE = experiment("jump-simulate", "simulate")
+GRONWALL = experiment("inequality-lab", "verify-gronwall")
+LENGLART = experiment("inequality-lab", "lenglart")
+CONDITIONS = experiment("inequality-lab", "check-conditions")
 
 
 def load(checkout: Path, name: str, tmp: Path):
@@ -88,47 +95,58 @@ def euler(workload: str):
 
 
 def validate(copied: bool):
+    o = GRONWALL
+
     def make(pkg, seed: int):
-        ens = pkg.gbm_squared_ensemble(VALIDATE_REPLICATIONS, 0.5, seed)
+        ens = pkg.gbm_squared_ensemble(o["replications"], 0.5, seed, n=o["n"])
         paths = ens.x_paths, ens.m_paths, ens.h_paths
         if copied:
             paths = [[pkg.CadlagPath(p.breakpoints.copy(), p.values, p.end) for p in ps] for ps in paths]
         run = lambda: pkg.GronwallEnsemble(*paths, ens.clock, ens.horizon, ens.p, ens.h_predictable)
-        return run, lambda checked: dataclasses.astuple(pkg.verify_gronwall(checked, "c"))
+        return run, lambda checked: dataclasses.astuple(pkg.verify_gronwall(checked, o["variant"]))
 
-    return make, VALIDATE_REPLICATIONS, "replication"
+    return make, o["replications"], "replication"
 
 
 def lenglart(replications: int):
+    o = LENGLART
+
     def make(pkg, seed: int):
-        run = lambda: pkg.lenglart_moment(*pkg.brownian_square_pairs(replications, LENGLART_GRID, seed), 0.5)
+        run = lambda: pkg.lenglart_moment(*pkg.brownian_square_pairs(replications, o["grid_n"], seed), o["p"])
         return run, dataclasses.astuple
 
     return make, replications, "replication"
 
 
 def conditions(pkg, seed: int):
-    model = pkg.models.build_model("geometric-jump", {})
-    spec = pkg.models.build_noise(wiener=1, jump_rate=2.0)
+    o = CONDITIONS
+    model = pkg.models.build_model(o["model"], o.get("model_params", {}))
+    spec = pkg.models.build_noise(**o["noise"])
     run = lambda: [
-        pkg.check_condition(model, spec, c, 10.0, None, CONDITION_SAMPLES, seed) for c in ("C1", "C2", "C4")
+        pkg.check_condition(model, spec, c, o["radius"], None, o["samples"], seed) for c in o["conditions"]
     ]
     return run, lambda reports: [r.to_dict() for r in reports]
 
 
+def jump_simulate(pkg):
+    """The model and noise spec of the jump-simulate workload, with its n and T."""
+    o = JUMP_SIMULATE
+    model = pkg.models.build_model(o["model"], o["model_params"])
+    return model, pkg.models.build_noise(**o["noise"]), o["n"], o["T"]
+
+
 def trajectories(pkg, seed: int):
-    model_name, params, noise, n, T = JUMP_SIMULATE
-    model = pkg.models.build_model(model_name, params)
-    spec = pkg.models.build_noise(**noise)
-    paths = [pkg.euler_solve(model, spec, n, T, (seed, r), replication=r) for r in range(JUMP_REPLICATIONS)]
+    model, spec, n, T = jump_simulate(pkg)
+    replications = range(JUMP_SIMULATE["replications"])
+    paths = [pkg.euler_solve(model, spec, n, T, (seed, r), replication=r) for r in replications]
     run = lambda: ["".join(pkg.paths.path_csv_lines(p, f"{r},")) for r, p in enumerate(paths)]
     return run, lambda text: text
 
 
 def thin(pkg, seed: int):
-    _, _, noise, n, T = JUMP_SIMULATE
-    spec, grid = pkg.models.build_noise(**noise), pkg.euler_grid(n, T)
-    run = lambda: [pkg.sample_noise(spec, grid, (seed, r)) for r in range(JUMP_REPLICATIONS)]
+    _, spec, n, T = jump_simulate(pkg)
+    grid = pkg.euler_grid(n, T)
+    run = lambda: [pkg.sample_noise(spec, grid, (seed, r)) for r in range(JUMP_SIMULATE["replications"])]
     # grid, Wiener increments, event times and marks, bit for bit
     return run, lambda reals: [[a.tobytes() for a in dataclasses.astuple(real)] for real in reals]
 
@@ -139,10 +157,10 @@ WORKLOADS = {
     "validate": validate(copied=False),
     "validate-union": validate(copied=True),
     "lenglart": lenglart(2000),
-    "lenglart-6000": lenglart(6000),
-    "conditions": (conditions, 3 * CONDITION_SAMPLES, "sample"),
-    "trajectories": (trajectories, JUMP_REPLICATIONS, "path"),
-    "thin": (thin, JUMP_REPLICATIONS, "realization"),
+    "lenglart-6000": lenglart(LENGLART["replications"]),
+    "conditions": (conditions, len(CONDITIONS["conditions"]) * CONDITIONS["samples"], "sample"),
+    "trajectories": (trajectories, JUMP_SIMULATE["replications"], "path"),
+    "thin": (thin, JUMP_SIMULATE["replications"], "realization"),
 }
 
 
