@@ -21,7 +21,7 @@ import sys
 
 from .config import check_override, parse_config
 from .errors import ConfigError, SdeLabError
-from .runner import run_experiment
+from .runner import overflow_problems, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +69,12 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "validate":
+        # each would end the run in an OverflowError, after its work
+        problems = overflow_problems(cfg)
+        for problem in problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        if problems:
+            return 1
         print(f"OK: {cfg.kind} experiment, seed {cfg.seed}")
         return 0
 

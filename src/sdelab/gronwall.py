@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EnsembleError
-from .paths import CadlagPath
+from .paths import CadlagPath, _sorted_union
 from .streams import stream
 
 __all__ = [
@@ -79,16 +79,21 @@ def gronwall_bound(variant: str, p: float, a_total: float, h_stat: float) -> flo
     """Right-hand side of the chosen Gronwall estimate.
 
     h_stat is E[H(T)^p] for variants 'a' and 'b' and E[H(T)] for variant 'c'
-    (caller contract); a_total is A(T).
+    (caller contract); a_total is A(T).  Raises OverflowError when the bound
+    is past the float range: any verdict would hold against an infinite one.
     """
     cp = c_p(p)
     if variant == "a":
-        return cp / p * h_stat * math.exp(cp ** (1.0 / p) * a_total)
-    if variant == "b":
-        return (cp + 1.0) / p * h_stat * math.exp((cp + 1.0) ** (1.0 / p) * a_total)
-    if variant == "c":
-        return cp / p * h_stat ** p * math.exp(cp ** (1.0 / p) * a_total)
-    raise ValueError(f"unknown variant {variant!r}; expected 'a', 'b' or 'c'")
+        bound = cp / p * h_stat * math.exp(cp ** (1.0 / p) * a_total)
+    elif variant == "b":
+        bound = (cp + 1.0) / p * h_stat * math.exp((cp + 1.0) ** (1.0 / p) * a_total)
+    elif variant == "c":
+        bound = cp / p * h_stat ** p * math.exp(cp ** (1.0 / p) * a_total)
+    else:
+        raise ValueError(f"unknown variant {variant!r}; expected 'a', 'b' or 'c'")
+    if not math.isfinite(bound):
+        raise OverflowError(f"the variant {variant} bound at p {p} is past the float range")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -131,14 +136,9 @@ def _union_reading(grids: tuple, horizon: float):
     its values at those points from its values array: slice(k) when the
     path's own breakpoints start with the union's k points, else the index
     of the segment holding each point.  The union of one array that all
-    three share is that array.  Sorting and a neighbour mask stand in for
-    numpy's unique, whose first call imports numpy.ma (about 1 MiB resident).
+    three share is that array.
     """
-    if grids[0] is grids[1] is grids[2]:
-        union = grids[0]
-    else:
-        union = np.sort(np.concatenate(grids))
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    union = grids[0] if grids[0] is grids[1] is grids[2] else _sorted_union(*grids)
     pts = union[: union.searchsorted(horizon, "right")]
     k = len(pts)
     # a path's points up to the horizon are among the union's k, so k of them are all of them
@@ -526,11 +526,14 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
+def _two_point_values(q: float, alpha: float) -> tuple:
+    """up and down, both positive, of the two-point variable: up w.p. q, -down w.p. 1-q."""
+    return (1.0 - q) ** (1.0 - 1.0 / alpha) / q, (1.0 - q) ** (-1.0 / alpha)
+
+
 def _two_point_draws(q: float, alpha: float, replications: int, seed: int, index: int):
-    """up, down and the two-point variable S of each replication, up w.p. q and -down
-    w.p. 1-q, drawn from the stream (seed, index).  up and down are positive."""
-    up = (1.0 - q) ** (1.0 - 1.0 / alpha) / q
-    down = (1.0 - q) ** (-1.0 / alpha)
+    """up, down and the two-point variable S of each replication, drawn from the stream (seed, index)."""
+    up, down = _two_point_values(q, alpha)
     return up, down, np.where(stream(seed, index).random(replications) < q, up, -down)
 
 
@@ -606,6 +609,11 @@ def counterexample_ensemble(
     )
 
 
+def _gbm_squared_rate(mu: float, sigma: float, n: int) -> float:
+    """K = 2 mu + sigma^2 + mu^2 / n, the slope of the gbm-squared clock A(u) = K u."""
+    return 2.0 * mu + sigma * sigma + mu * mu * (1.0 / n)
+
+
 def gbm_squared_ensemble(
     replications: int,
     p: float,
@@ -629,7 +637,7 @@ def gbm_squared_ensemble(
     if n < 1:
         raise ValueError("n must be >= 1")
     dt = 1.0 / n
-    K = 2.0 * mu + sigma * sigma + mu * mu * dt
+    K = _gbm_squared_rate(mu, sigma, n)
     ts = np.arange(n + 1) * dt
     h_path = CadlagPath(ts, (x0 * x0 + K * ts)[:, None].copy(), 1.0)
     xs, ms = [], []

@@ -15,7 +15,9 @@ Integrands receive (t, mark) where mark is an `int` for Wiener component
 indices and a 1-d float array for Poisson marks.  Integrands must be
 predictable by construction: callers supply g already frozen on the left
 endpoint of the enclosing grid cell (the Euler solver passes frozen
-histories; deterministic g is trivially fine).
+histories; deterministic g is trivially fine).  integrate and the Euler
+solver share one walk over the cells, _walk, where each cell's formula
+lives.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NoiseSpecError
+from .errors import ModelError, NoiseSpecError
 from .paths import CadlagPath, PathBuilder
 from .streams import QUADRATURE_STREAM, stream
 
@@ -50,6 +52,8 @@ _NODE_SEED = 0x6E6F6465  # "node"
 
 # Two-sided 99% normal quantile.
 Z_TWO_SIDED = 2.5758293035489004
+
+_F64 = np.dtype(float)
 
 
 def uniform_marks(low, high) -> Callable:
@@ -212,15 +216,15 @@ def sample_noise(spec: MartingaleMeasureSpec, grid, stream_id) -> NoiseRealizati
     return NoiseRealization(grid, dW, times, marks)
 
 
-def _cells(spec, real) -> list:
-    """Per cell: (s0, s1, width, Wiener increments, [(time, mark) of each event in (s0, s1]]).
+def _cells(spec, real):
+    """Per cell: (s0, s1, Wiener increments, [(time, mark) of each event in (s0, s1], then (s1, None)]).
 
-    s0, s1, the width s1 - s0 and each Wiener increment are Python floats,
-    so a scalar walk multiplies floats and a vector walk rows by floats.
-    One search over the grid splits the events.  The realization must come
-    from a spec with the same Wiener count, and from one with jumps if it
-    holds events.  Its event times must be strictly increasing inside
-    (0, T], one mark row each, so that no event falls outside every cell.
+    An event on s1 takes the place of (s1, None).  Times and increments are
+    Python floats, so a scalar walk multiplies floats and a vector walk rows
+    by floats.  One search over the grid splits the events.  The realization
+    must come from a spec with the same Wiener count, and from one with
+    jumps if it holds events.  Its event times must be strictly increasing
+    inside (0, T], one mark row each, so that no event falls outside every cell.
     """
     wiener, count = real.wiener_increments.shape[1], real.event_times.size
     if wiener != spec.wiener_count or count and not spec.has_jumps:
@@ -238,54 +242,89 @@ def _cells(spec, real) -> list:
             f"mark row each, got times {te.tolist()} and {len(real.event_marks)} mark rows"
         )
     times = real.grid.tolist()
-    cut = np.searchsorted(te, real.grid, side="right").tolist()
-    events = list(zip(te.tolist(), real.event_marks))
-    return list(zip(
-        times, times[1:], np.diff(real.grid).tolist(), real.wiener_increments.tolist(),
-        [events[a:b] for a, b in zip(cut, cut[1:])],
-    ))
+    points = [[(s1, None)] for s1 in times[1:]]
+    if count:
+        events = list(zip(te.tolist(), real.event_marks))
+        cut = np.searchsorted(te, real.grid, side="right").tolist()
+        for k, (a, b) in enumerate(zip(cut, cut[1:])):
+            if a < b:
+                # an event on the grid point takes the place of the cell end
+                points[k] = events[a:b] + ([] if events[b - 1][0] == times[k + 1] else points[k])
+    return zip(times, times[1:], real.wiener_increments.tolist(), points)
 
 
-def _cell_entries(g, compensator, h, spec, s0, s1, ds, dw, events):
-    """Ordered (time, width, delta, is_jump) entries for the cell (s0, s1], history h.
+def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, row, shape, replication=None):
+    """The Euler walk from the state x over the realization's cells; returns the last state.
 
-    One entry lands at every union point (the cell's right endpoint and its
-    event times): each entry collects everything accrued on (u, time], u the
-    previous point, whose width time - u it carries (the cell's width ds
-    when one entry spans the cell): Wiener increments weighted by
-    g(s0, h, i), jumps g(t_e, h, xi_e) at exact event times, and the
-    left-point compensator quadrature -lambda(u) * compensator(u, h) * width
-    (node quadrature of g over mu when compensator is None); g and
-    compensator return float rows, or floats in a scalar walk.  Deltas are
-    None for entries with no contribution, read as zeros by the caller.
+    Per cell (s0, s1], with h = freeze(), each union point t (an event, or the
+    cell end) closes the entry on (u, t]: delta, x + drift(u, h) * (t - u),
+    x + delta, append(t, x, jump=t is an event).  delta is jump(t, h, mark)
+    at an event, else the Wiener part sum_i jump(s0, h, i) * dW_i (None
+    without one); with jumps, plus -lambda(u) * compensator(u, h) * (t - u),
+    then plus the Wiener part at an event on the cell end.
+
+    A native float64 ndarray of the given shape is taken as it is (its one
+    entry when the shape is (1,)), any other value goes through row.  A
+    coefficient's exception, not a ModelError, becomes ModelError with the
+    coefficient's entry of labels = (drift, jump, compensator), its t and
+    the replication; a None label lets it through, as any other exception.
     """
-    wc = spec.wiener_count
-    delta = None
-    if wc:
-        delta = g(s0, h, 0) * dw[0]
-        for i in range(1, wc):
-            delta = delta + g(s0, h, i) * dw[i]
-    if spec.intensity is None:  # no jumps; has_jumps without its property call
-        return ((s1, ds, delta, False),)
-    comp = compensator or (
-        lambda t, h: spec.node_sum(lambda xi: g(t, h, xi)) / len(spec.compensator_nodes))
-    entries = []
-    u = s0
-    for te, mark in events:
-        dt = te - u
-        piece = -spec.rate(u) * comp(u, h) * dt
-        entries.append((te, dt, g(te, h, mark) + piece, True))
-        u = te
-    if u < s1:
-        dt = ds if u == s0 else s1 - u
-        piece = -spec.rate(u) * comp(u, h) * dt
-        entries.append((s1, dt, piece if delta is None else delta + piece, False))
-    elif delta is not None:
-        # an event landed exactly on the grid point: fold the cell's Wiener
-        # part into that entry instead of emitting a duplicate time
-        te, dt, prev, _ = entries[-1]
-        entries[-1] = (te, dt, prev + delta, True)
-    return entries
+    ndarray, f64 = np.ndarray, _F64
+    # a native row as it is (ndarray.__array__ returns the array itself), or its one entry
+    take = ndarray.item if shape == (1,) else ndarray.__array__
+    drift_label, jump_label, comp_label = labels
+    rated, rate, components = spec.intensity is not None, spec.rate, range(spec.wiener_count)
+    label = at = None  # the coefficient in flight, and its t
+    try:
+        for s0, s1, dw, points in _cells(spec, real):
+            h = freeze()
+            wiener = None
+            for i in components:
+                label, at = jump_label, s0
+                v = jump(s0, h, i)
+                v = take(v) if type(v) is ndarray and v.shape == shape and v.dtype is f64 else row(v)
+                label = None
+                wiener = v * dw[i] if wiener is None else wiener + v * dw[i]
+            u = s0
+            for t, mark in points:
+                dt = t - u
+                delta = wiener
+                if rated:
+                    lam = rate(u)
+                    label, at = comp_label, u
+                    c = compensator(u, h)
+                    c = take(c) if type(c) is ndarray and c.shape == shape and c.dtype is f64 else row(c)
+                    if mark is not None:
+                        label, at = jump_label, t
+                        v = jump(t, h, mark)
+                        v = take(v) if type(v) is ndarray and v.shape == shape and v.dtype is f64 else row(v)
+                    label = None
+                    piece = -lam * c * dt
+                    if mark is None:
+                        delta = piece if wiener is None else wiener + piece
+                    else:
+                        delta = v + piece if t < s1 or wiener is None else v + piece + wiener
+                label, at = drift_label, u
+                f = drift(u, h)
+                f = take(f) if type(f) is ndarray and f.shape == shape and f.dtype is f64 else row(f)
+                label = None
+                x = x + f * dt
+                if delta is not None:
+                    x = x + delta
+                append(t, x, jump=mark is not None)
+                u = t
+    except ModelError:
+        raise
+    except Exception as exc:
+        if label is None:
+            raise
+        raise ModelError(f"{label} evaluation failed: {exc}", t=at, replication=replication) from exc
+    return x
+
+
+def _node_compensator(spec, g):
+    """t, h -> the node quadrature of g(t, h, xi) over mu, added in node order."""
+    return lambda t, h: spec.node_sum(lambda xi: g(t, h, xi)) / len(spec.compensator_nodes)
 
 
 def integrate(
@@ -305,7 +344,8 @@ def integrate(
     with g read at cell left endpoints for the Wiener part and at exact event
     times for jumps.  The compensator uses the supplied closed form when
     given, else frozen-node quadrature over mu.  Event times are marked as
-    genuine jumps on the output path.
+    genuine jumps on the output path.  It is the Euler walk of the solver
+    with a zero drift, whose x + 0.0 * dt leaves every level as it is.
     """
     d = None  # the first integrand or compensator value fixes the output dimension
 
@@ -321,15 +361,17 @@ def integrate(
 
     g_h = lambda t, _h, mark: row(g(t, mark), t, "integrand")
     comp_h = compensator and (lambda t, _h: row(compensator(t), t, "compensator"))
-    entries = [e for cell in _cells(spec, real) for e in _cell_entries(g_h, comp_h, None, spec, *cell)]
+    entries = []
+    _walk(
+        spec, real, 0.0, lambda t, level, jump=False: entries.append((t, level, jump)), lambda: None,
+        lambda t, _h: 0.0, g_h, comp_h or _node_compensator(spec, g_h),
+        labels=(None, None, None), row=lambda v: v, shape=None,
+    )
     d = 1 if d is None else d
     start = float(real.grid[0])
     seed = CadlagPath._trusted(np.array([start]), np.zeros((1, d)), start, tail=start)
     builder = PathBuilder(seed, real.horizon, len(entries))
-    level = 0.0 if d == 1 else np.zeros(d)
-    for t, _, delta, is_jump in entries:
-        if delta is not None:
-            level = level + delta
+    for t, level, is_jump in entries:
         builder.append(t, level, jump=is_jump)
     return builder.finish()
 

@@ -2,9 +2,11 @@
 
 State on the cell (k/n, (k+1)/n] evolves from the history frozen at the cell
 start: drift is integrated by left-point quadrature on the union of grid
-points and event times, the stochastic part reuses the noise module's
-increment walk with the frozen-history integrand.  n counts steps per unit
-time, so cells are exactly (k/n, (k+1)/n].
+points and event times, the stochastic part by the same increments that
+noise.integrate sums.  Both run on the noise module's one walk, which calls
+the model's drift, jump and compensator directly and builds each cell's
+entries inline.  n counts steps per unit time, so cells are exactly
+(k/n, (k+1)/n].
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ExplosionError, ModelError
-from .noise import Z_TWO_SIDED, MartingaleMeasureSpec, NoiseRealization, sample_noise, _cell_entries, _cells
+from .noise import Z_TWO_SIDED, MartingaleMeasureSpec, NoiseRealization, sample_noise
+from .noise import _F64, _node_compensator, _walk
 from .paths import CadlagPath, PathBuilder, sup_distance
 
 __all__ = [
@@ -90,8 +93,17 @@ def euler_grid(n: int, T: float) -> np.ndarray:
     return np.arange(euler_steps(n, T) + 1) / n
 
 
-_F64 = np.dtype(float)
 _NO_MARK = object()
+
+
+def _as_row(v, shape, scalar):
+    """The one conversion and refusal rule for a coefficient value: a float as it is
+    when scalar, else np.asarray(v, dtype=float).reshape(shape), which raises
+    for a value of another size, and its one entry when scalar."""
+    if scalar and type(v) is float:
+        return v
+    v = np.asarray(v, dtype=float).reshape(shape)
+    return v.item() if scalar else v
 
 
 def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
@@ -99,10 +111,10 @@ def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
     another size, raises ModelError with the label, t and the replication.
 
     Called as (t, h), or as (t, h, mark) for the jump.  A native float64
-    ndarray of shape (dim,) is taken as it is; any other value becomes
-    np.asarray(value, dtype=float).reshape(dim).  With native and dim 1 the
-    row's one entry is returned as a Python float, whose arithmetic rounds
-    as float64 does at a fraction of the cost of a (1,) array's.
+    ndarray of shape (dim,) is taken as it is; any other value goes through
+    _as_row.  With native and dim 1 the row's one entry is returned as a
+    Python float, whose arithmetic rounds as float64 does at a fraction of
+    the cost of a (1,) array's.
     """
     shape, ndarray = (dim,), np.ndarray
     scalar = native and dim == 1
@@ -110,9 +122,9 @@ def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
     def call(t, h, mark=_NO_MARK):
         try:
             v = fn(t, h) if mark is _NO_MARK else fn(t, h, mark)
-            if not (type(v) is ndarray and v.shape == shape and v.dtype is _F64):
-                v = np.asarray(v, dtype=float).reshape(shape)
-            return v.item() if scalar else v
+            if type(v) is ndarray and v.shape == shape and v.dtype is _F64:
+                return v.item() if scalar else v
+            return _as_row(v, shape, scalar)
         except ModelError:
             raise
         except Exception as exc:
@@ -152,30 +164,25 @@ def euler_solve(
         raise ValueError(f"realization grid is not the Euler grid 0, 1/{n}, ..., {T}")
 
     dim = model.dim
-    wrap = lambda fn, label: _wrap_coefficient(fn, label, dim, replication, native=True)
-    f, g = wrap(model.drift, "drift"), wrap(model.jump, "jump")
-    comp = model.compensator and wrap(model.compensator, "compensator")
-
+    shape, scalar = (dim,), dim == 1
     # One append per cell and per event, fewer where an event lands on the grid.
     appends = grid.size - 1 + realization.event_times.size
     builder = PathBuilder(model.initial, float(grid[-1]), appends)
     x0 = model.initial.value_at(0.0)
-    x = x0.item() if dim == 1 else np.array(x0, dtype=float)
-
-    for s0, s1, ds, dw, events in _cells(spec, realization):
-        frozen = builder.freeze()
-        u = s0
-        for t, dt, delta, is_jump in _cell_entries(g, comp, frozen, spec, s0, s1, ds, dw, events):
-            x = x + f(u, frozen) * dt
-            if delta is not None:
-                x = x + delta
-            builder.append(t, x, jump=is_jump)
-            u = t
+    x = x0.item() if scalar else np.array(x0, dtype=float)
+    compensator = model.compensator or spec.has_jumps and _node_compensator(
+        spec, _wrap_coefficient(model.jump, "jump", dim, replication, native=True))
+    # node quadrature labels its own jump failures
+    labels = ("drift", "jump", "compensator" if model.compensator else None)
+    x = _walk(
+        spec, realization, x, builder.append, builder.freeze, model.drift, model.jump, compensator,
+        labels=labels, row=lambda v: _as_row(v, shape, scalar), shape=shape, replication=replication,
+    )
     path = builder.finish()
-    # Finiteness is checked once per solve, at the first bad breakpoint.
-    finite = np.isfinite(path.values).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    # The initial segment is finite, and a sum with an infinite or NaN term
+    # is never finite again: the last state is finite when every breakpoint is.
+    if not (math.isfinite(x) if scalar else np.isfinite(x).all()):
+        bad = int(np.argmin(np.isfinite(path.values).all(axis=1)))
         raise ExplosionError(
             "state is not finite", t=float(path.breakpoints[bad]), replication=replication
         )

@@ -2,6 +2,10 @@
 must be caught, and every recorded witness must replay bit-identically."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,28 @@ def test_the_wiener_sum_adds_in_index_order():
     x = constant_path(1.0, -1.0, 1.0)
     total = _squared_mark_integral(lambda t, h, i: amplitude[i], s.MartingaleMeasureSpec(wiener_count=3), 0.5, x)
     assert total == 1e16
+
+
+_NUMPY_MA_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+from sdelab.config import parse_config
+from sdelab.runner import run_experiment
+(text,) = [t for t in WORKLOADS["inequality-lab"].texts(1) if "check-conditions" in t]
+run_experiment(parse_config(text), sys.argv[2])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_benchmark_conditions_run_leaves_numpy_ma_unimported(tmp_path):
+    # sup_distance took np.union1d, whose first call imports numpy.ma (about
+    # 1 MiB resident), once per C1 sample.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_CHILD, str(root / "perfbench"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False"]

@@ -1,5 +1,6 @@
 """Cadlag path queries: exact examples plus randomized invariants."""
 
+import dataclasses
 import io
 import math
 import re
@@ -103,6 +104,28 @@ class TestHistory:
         assert np.array_equal(once.breakpoints, twice.breakpoints)
         assert np.array_equal(once.values, twice.values)
         assert once.value_at(1.5)[0] == 2.0
+
+    def test_a_view_is_the_validated_path_of_its_data(self):
+        # A view is built by one store of its attribute dict: it must not see
+        # later appends, must hold what a validated path on the same arrays
+        # holds, and shares the builder's jump-time tuple without a copy.
+        seed = CadlagPath(np.array([-1.0, -0.5]), np.array([[1.0, 0.0], [2.0, 0.5]]), 0.0, (-0.5,))
+        builder = PathBuilder(seed, 3.0, 3)
+        first = builder.freeze()
+        assert first.jump_times is seed.jump_times
+        builder.append(0.5, np.array([4.0, 1.0]), jump=True)
+        view = builder.freeze()
+        assert builder.freeze().jump_times is view.jump_times
+        builder.append(1.0, np.array([5.0, 2.0]))
+        builder.append(2.0, 6.0, jump=True)
+        assert view.breakpoints.tolist() == [-1.0, -0.5, 0.5] and view.jump_times == (-0.5, 0.5)
+        assert view.value_at(2.5).tolist() == [4.0, 1.0] and first.value_at(2.5).tolist() == [2.0, 0.5]
+        for v in (first, view, builder.freeze(), builder.finish()):
+            p = CadlagPath(v.breakpoints, v.values, v.end, v.jump_times)
+            assert v == p and p == v and repr(v) == repr(p) and vars(v) == vars(p)
+            assert dataclasses.replace(v, end=4.0) == dataclasses.replace(p, end=4.0)
+            assert dataclasses.replace(v).value_at(v.end).tolist() == p.value_at(p.end).tolist()
+        assert builder.finish().jump_times == (-0.5, 0.5, 2.0)
 
 
 def test_construction_invariants():

@@ -382,6 +382,65 @@ class TestCli:
         assert err.startswith(first_line)
         assert err.endswith(f"\nreplay: sde run {cfg} --seed 3\n")
 
+    @pytest.mark.parametrize(
+        "text, fixed, problem",
+        [
+            (
+                "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+                "sigma: 10.0\nseed: 3\n",
+                ("sigma: 10.0", "sigma: 0.2"),
+                "config error: 'sigma' 10.0 and 'mu' 0.05 give A(T) = 100.1, and the variant c bound at p 0.5 "
+                "overflows a float",
+            ),
+            # exp(8 A(T)) is a float, but the bound 5.66 sqrt(1 + A(T)) exp(8 A(T)) is not
+            (
+                "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+                "sigma: 9.402\nseed: 3\n",
+                ("sigma: 9.402", "sigma: 9.3"),
+                "config error: 'sigma' 9.402 and 'mu' 0.05 give A(T) = 88.4976, and the variant c bound at p "
+                "0.5 overflows a float",
+            ),
+            (
+                "kind: counterexample\nq_values: [0.5, 0.9999]\np: 0.5\nalpha: 0.01\nreplications: 100\n"
+                "seed: 3\n",
+                ("0.9999", "0.99"),
+                "config error: 'alpha' 0.01 at q 0.9999: a two-point value (1 - q) ** (1 - 1/alpha) / q or "
+                "(1 - q) ** (-1/alpha) overflows a float",
+            ),
+            (
+                "kind: verify-gronwall\nensemble: counterexample\nvariant: a\np: 0.5\nq: 0.9999\n"
+                "alpha: 0.01\nreplications: 100\nseed: 3\n",
+                ("0.9999", "0.99"),
+                "config error: 'alpha' 0.01 at q 0.9999: a two-point value (1 - q) ** (1 - 1/alpha) / q or "
+                "(1 - q) ** (-1/alpha) overflows a float",
+            ),
+        ],
+        ids=["overflow-in-the-bound", "inf-bound", "overflow-in-the-two-point-values",
+             "overflow-in-the-two-point-ensemble"],
+    )
+    def test_validate_refuses_a_config_whose_run_overflows(self, text, fixed, problem, tmp_path, capsys):
+        # validate printed OK, and run exited 1 with an OverflowError after its work.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert cli_main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == problem + "\n"
+        cfg.write_text(text.replace(*fixed))
+        assert cli_main(["validate", str(cfg)]) == 0
+
+    def test_a_bound_past_the_float_range_fails_the_run_before_any_artifact(self, tmp_path, capsys):
+        # The bound turned inf without an OverflowError: gronwall.csv held
+        # rhs inf with verdict "holds", then report.json refused the inf.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+            "sigma: 9.402\nseed: 3\n"
+        )
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: the variant c bound at p 0.5 is past the float range\n")
+        assert not (out / "gronwall.csv").exists()
+
 
 # The smallest size each kind accepts; {model} takes any built-in model.
 SMALLEST = {

@@ -21,7 +21,7 @@ from sdelab.models import (
     geometric_jump,
     geometric_jump_exact_terminal,
 )
-from sdelab.paths import constant_path
+from sdelab.paths import PathBuilder, constant_path
 from sdelab.solver import _wrap_coefficient, euler_steps
 
 NO_NOISE = s.MartingaleMeasureSpec(wiener_count=0)
@@ -588,3 +588,162 @@ def test_a_coefficient_value_of_another_size_is_a_model_error(label, args, value
         call = _wrap_coefficient(lambda *_: value, label, 2, replication=4, native=native)
         with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25, replication=4\]$"):
             call(*args)
+
+
+def reference_cell_entries(g, compensator, h, spec, s0, s1, ds, dw, events):
+    """Ordered (time, width, delta, is_jump) entries for the cell (s0, s1], history h.
+
+    The cell formula as euler_solve ran it before the walk built each cell's
+    entries inline, kept as the reference: every g and compensator call of
+    the cell comes before its first drift call, and an event on the grid
+    point takes the cell's Wiener part into its own entry.
+    """
+    wc = spec.wiener_count
+    delta = None
+    if wc:
+        delta = g(s0, h, 0) * dw[0]
+        for i in range(1, wc):
+            delta = delta + g(s0, h, i) * dw[i]
+    if spec.intensity is None:
+        return ((s1, ds, delta, False),)
+    comp = compensator or (
+        lambda t, h: spec.node_sum(lambda xi: g(t, h, xi)) / len(spec.compensator_nodes))
+    entries = []
+    u = s0
+    for te, mark in events:
+        dt = te - u
+        piece = -spec.rate(u) * comp(u, h) * dt
+        entries.append((te, dt, g(te, h, mark) + piece, True))
+        u = te
+    if u < s1:
+        dt = ds if u == s0 else s1 - u
+        piece = -spec.rate(u) * comp(u, h) * dt
+        entries.append((s1, dt, piece if delta is None else delta + piece, False))
+    elif delta is not None:
+        te, dt, prev, _ = entries[-1]
+        entries[-1] = (te, dt, prev + delta, True)
+    return entries
+
+
+def reference_solve(model, spec, real, replication):
+    """euler_solve on a realization through reference_cell_entries and wrapped coefficients."""
+    wrap = lambda fn, label: _wrap_coefficient(fn, label, model.dim, replication, native=True)
+    f, g = wrap(model.drift, "drift"), wrap(model.jump, "jump")
+    comp = model.compensator and wrap(model.compensator, "compensator")
+    grid, te = real.grid, real.event_times
+    builder = PathBuilder(model.initial, float(grid[-1]), grid.size - 1 + te.size)
+    x0 = model.initial.value_at(0.0)
+    x = x0.item() if model.dim == 1 else np.array(x0, dtype=float)
+    times = grid.tolist()
+    cut = np.searchsorted(te, grid, side="right").tolist()
+    events = list(zip(te.tolist(), real.event_marks))
+    cells = zip(times, times[1:], np.diff(grid).tolist(), real.wiener_increments.tolist(),
+                [events[a:b] for a, b in zip(cut, cut[1:])])
+    for s0, s1, ds, dw, cell_events in cells:
+        frozen = builder.freeze()
+        u = s0
+        entries = reference_cell_entries(g, comp, frozen, spec, s0, s1, ds, dw, cell_events)
+        for t, dt, delta, is_jump in entries:
+            x = x + f(u, frozen) * dt
+            if delta is not None:
+                x = x + delta
+            builder.append(t, x, jump=is_jump)
+            u = t
+    path = builder.finish()
+    finite = np.isfinite(path.values).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ExplosionError("state is not finite", t=float(path.breakpoints[bad]), replication=replication)
+    return path
+
+
+# How a drawn coefficient hands its row back: as it is, or in a form that
+# takes the conversion rule.
+FORMS = {
+    "native": lambda v: v,
+    "list": lambda v: v.tolist(),
+    "big-endian": lambda v: v.astype(">f8"),
+    "float": lambda v: float(v[0]) if v.size == 1 else v,
+}
+
+
+@st.composite
+def walk_cases(draw):
+    """A model of dimension 1 or 2 with its noise and one realization, and at most one drawn fault."""
+    unit = st.floats(-1.0, 1.0)
+    dim, wiener = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    n, T = draw(st.integers(1, 4)), float(draw(st.integers(1, 2)))
+    closed, callable_rate = draw(st.booleans()), draw(st.booleans())
+    form = FORMS[draw(st.sampled_from(list(FORMS)))]
+    a, c = draw(unit), draw(unit)
+    b = [draw(unit) for _ in range(wiener)]
+    lam = draw(st.floats(0.5, 4.0))
+    grid = s.euler_grid(n, T)
+    times = set(draw(st.lists(st.sampled_from(grid[1:].tolist()), max_size=2)))
+    times |= set(draw(st.lists(st.floats(0.0, T, exclude_min=True), max_size=4)))
+    times = sorted(times)
+    real = s.NoiseRealization(
+        grid, np.array(draw(st.lists(unit, min_size=n * int(T) * wiener, max_size=n * int(T) * wiener)))
+        .reshape(n * int(T), wiener), np.array(times, dtype=float),
+        np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))).reshape(-1, 1),
+    )
+    fault = draw(st.sampled_from([None, "drift", "jump", "compensator" if closed else "jump", "intensity"]))
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["raise", "size"]))
+    x0 = np.array([draw(st.floats(0.5, 2.0)) for _ in range(dim)])
+
+    def make():
+        """A fresh model and spec, so each solve counts the calls of its own."""
+        calls = {"drift": 0, "jump": 0, "compensator": 0}
+
+        def faulty(name, fn):
+            def call(t, h, *mark):
+                calls[name] += 1
+                if name == fault and calls[name] == k:
+                    if kind == "raise":
+                        raise RuntimeError(f"drawn fault at call {k}")
+                    return np.zeros(dim + 1)
+                return form(fn(t, h, *mark))
+
+            return call
+
+        def jump(t, h, mark):
+            x = h.value_at(t)
+            return b[mark] * x if isinstance(mark, int) else c * float(mark[0]) * x
+
+        rate = lam
+        if callable_rate:
+            rate = lambda t: -1.0 if fault == "intensity" and t >= k / 12 * T else lam
+        spec = s.MartingaleMeasureSpec(
+            wiener_count=wiener, intensity=rate, intensity_bound=lam, mark_sampler=s.uniform_marks(0.0, 1.0),
+            quadrature_nodes=3,
+        )
+        model = s.CoefficientModel(
+            dim=dim, delay=1.0, initial=s.CadlagPath(np.array([-1.0]), x0[None, :], 0.0),
+            drift=faulty("drift", lambda t, h: a * h.value_at(t)), jump=faulty("jump", jump),
+            compensator=faulty("compensator", lambda t, h: 0.5 * c * h.value_at(t)) if closed else None,
+        )
+        return model, spec
+
+    return make, real, n, T, draw(st.sampled_from([None, 0, 7]))
+
+
+def outcome(solve):
+    try:
+        p = solve()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "t", None), getattr(exc, "replication", None)
+    return p.breakpoints.tobytes(), p.values.tobytes(), p.jump_times
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(walk_cases())
+def test_the_walk_is_the_reference_cell_entries_loop_bit_for_bit(case):
+    # dims 1 and 2, closed-form and node compensators, constant and callable
+    # rates, events on grid points; a drawn coefficient call that raises or
+    # gives a row of another size, or a negative rate, fails both alike.
+    make, real, n, T, replication = case
+    model, spec = make()
+    new = outcome(lambda: s.euler_solve(model, spec, n, T, realization=real, replication=replication))
+    model, spec = make()
+    assert new == outcome(lambda: reference_solve(model, spec, real, replication))

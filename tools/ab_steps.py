@@ -1,11 +1,13 @@
 """Interleaved in-process timing of two sdelab checkouts' Euler solves and lab checks.
 
-    python3 tools/ab_steps.py PARENT_DIR CHANGE_DIR --rounds 30
+    python3 tools/ab_steps.py PARENT_DIR CHANGE_DIR [WORKLOAD ...] --rounds 30
 
-Copies `src/sdelab` of each checkout into a temporary directory under two
-package names and imports both into this one process, so both sides share
-the interpreter, the numpy build and the machine's momentary speed.  Each
-round times one unit of work per side and workload, the parent first in even
+Times the named workloads, in the order given, or all of them when none is
+named; an unknown name is refused with the list of valid ones.  Copies
+`src/sdelab` of each checkout into a temporary directory under two package
+names and imports both into this one process, so both sides share the
+interpreter, the numpy build and the machine's momentary speed.  Each round
+times one unit of work per side and workload, the parent first in even
 rounds and the change first in odd ones:
 
 - gbm: 40 solves of `gbm` at n = 128, T = 1, one Wiener component
@@ -168,13 +170,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
+    ap.add_argument("workloads", nargs="*", metavar="WORKLOAD", help="default: all")
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    unknown = [w for w in args.workloads if w not in WORKLOADS]
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; valid: {', '.join(WORKLOADS)}")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = {side: load(getattr(args, side), f"sdelab_{side}", Path(tmp)) for side in ("parent", "change")}
-        for workload, (make, units, unit) in WORKLOADS.items():
+        for workload in args.workloads or WORKLOADS:
+            make, units, unit = WORKLOADS[workload]
             run = {side: make(pkg, args.seed) for side, pkg in pkgs.items()}
             reports = [report(go()) for go, report in run.values()]
             if reports[0] != reports[1]:
