@@ -22,6 +22,7 @@ import yaml
 
 from .conditions import CONDITIONS
 from .errors import ConfigError
+from .gronwall import _gbm_squared_rates, _two_point_values, gronwall_bound
 from .models import MODEL_NAMES, ORACLE_MODELS, envelope_problems, model_param_names, noise_problems, param_problems
 from .solver import euler_steps
 from .streams import KEY_LIMIT
@@ -230,6 +231,38 @@ def _whole_cells(parsed):
         raise ConfigError(problems)
 
 
+def _overflows(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except OverflowError:
+        return True
+    return False
+
+
+def _float_range(parsed):
+    """The values the config alone fixes must fit a float: the two-point values
+    of the counterexample construction, and the gbm-squared Gronwall bound,
+    whose A(T) = K+ T and deterministic H(T) = x0^2 + K+ T hold with T = 1."""
+    o = parsed
+    qs = o.get("q_values", [o["q"]] if "q" in o else []) if "alpha" in o else []
+    problems = [
+        f"'alpha' {o['alpha']} at q {q}: a two-point value (1 - q) ** (1 - 1/alpha) / q or "
+        "(1 - q) ** (-1/alpha) overflows a float"
+        for q in qs if _overflows(_two_point_values, q, o["alpha"])
+    ]
+    if o.get("ensemble") == "gbm-squared" and {"variant", "p_values", "n", "mu", "sigma", "x0"} <= o.keys():
+        a_total = _gbm_squared_rates(o["mu"], o["sigma"], o["n"])[1]
+        h_total = o["x0"] * o["x0"] + a_total
+        h_stat = lambda p: h_total if o["variant"] == "c" else h_total ** p
+        problems += [
+            f"'sigma' {o['sigma']} and 'mu' {o['mu']} give A(T) = {a_total:.6g}, and the variant "
+            f"{o['variant']} bound at p {p} overflows a float"
+            for p in o["p_values"] if _overflows(gronwall_bound, o["variant"], p, a_total, h_stat(p))
+        ]
+    if problems:
+        raise ConfigError(problems)
+
+
 class _Row(NamedTuple):
     key: str
     check: Callable
@@ -280,6 +313,7 @@ _SCHEMAS = {
         _Row("x0", _number, default=1.0),
         _Row("q", _unit, required=True, when=("ensemble", "counterexample")),
         _Row("alpha", _unit, required=True, when=("ensemble", "counterexample")),
+        _float_range,
     ),
     "lenglart": _COMMON + (
         _Row("mode", _choice("tail", "moment"), required=True),
@@ -294,6 +328,7 @@ _SCHEMAS = {
         _Row("p", _unit, required=True),
         _Row("alpha", _unit, required=True),
         _Row("replications", _integer(2), required=True),
+        _float_range,
     ),
     "check-conditions": _COMMON + _MODEL + (
         _envelopes,

@@ -609,9 +609,11 @@ def counterexample_ensemble(
     )
 
 
-def _gbm_squared_rate(mu: float, sigma: float, n: int) -> float:
-    """K = 2 mu + sigma^2 + mu^2 / n, the slope of the gbm-squared clock A(u) = K u."""
-    return 2.0 * mu + sigma * sigma + mu * mu * (1.0 / n)
+def _gbm_squared_rates(mu: float, sigma: float, n: int) -> tuple:
+    """K = 2 mu + sigma^2 + mu^2 / n, the drift rate of the gbm-squared identity, and
+    K+ = max(K, 0), the slope of its clock A(u) = K+ u and of its H(t) = x0^2 + K+ t."""
+    K = 2.0 * mu + sigma * sigma + mu * mu * (1.0 / n)
+    return K, max(K, 0.0)
 
 
 def gbm_squared_ensemble(
@@ -630,23 +632,28 @@ def gbm_squared_ensemble(
     identity Y_j = Y_0 + K sum_{k<j} Y_k dt + M_j holds exactly for K = 2 mu +
     sigma^2 + mu^2 dt when M is defined as the residual (a martingale: its
     increments are Y_k (2 sigma dW + 2 mu sigma dt dW + sigma^2 (dW^2 - dt))).
-    Bounding the coercivity-style term K Y_k <= K (1 + Y_k) yields the
-    assumption inequality with the linear clock A(u) = K u and deterministic
-    H(t) = Y_0 + K t, so H is predictable and M has no (marked) jumps at all.
+    For K >= 0, bounding the coercivity-style term K Y_k <= K (1 + Y_k) yields
+    the assumption inequality with the linear clock A(u) = K u and
+    deterministic H(t) = Y_0 + K t; for K < 0 the drift sum is <= 0, so it
+    holds with A = 0 and H = Y_0.  Both are A(u) = K+ u and H(t) = Y_0 + K+ t
+    with K+ = max(K, 0), so H is predictable and M, the residual for either
+    sign of K, has no (marked) jumps at all.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     dt = 1.0 / n
-    K = _gbm_squared_rate(mu, sigma, n)
+    K, k_plus = _gbm_squared_rates(mu, sigma, n)
     ts = np.arange(n + 1) * dt
-    h_path = CadlagPath(ts, (x0 * x0 + K * ts)[:, None].copy(), 1.0)
+    h_path = CadlagPath(ts, (x0 * x0 + k_plus * ts)[:, None].copy(), 1.0)
     xs, ms = [], []
     for dW in _brownian_increments(replications, n, dt, seed):
         take = len(dW)
         s = np.empty((take, n + 1))
         s[:, 0] = x0
-        for k in range(n):
-            s[:, k + 1] = s[:, k] * (1.0 + mu * dt + sigma * dW[:, k])
+        s[:, 1:] = 1.0 + mu * dt + sigma * dW
+        # S_{k+1} = S_k (1 + mu dt + sigma dW_k), multiplied from S_0 = x0 on:
+        # x0 * cumprod(...) would round differently
+        np.multiply.accumulate(s, axis=1, out=s)
         y = s * s
         drift_cum = np.concatenate(
             [np.zeros((take, 1)), np.cumsum(K * y[:, :-1] * dt, axis=1)], axis=1
@@ -659,7 +666,7 @@ def gbm_squared_ensemble(
         xs,
         ms,
         [h_path] * replications,
-        MonotoneFunction(lambda u, _K=K: _K * u),
+        MonotoneFunction(lambda u, _K=k_plus: _K * u),
         horizon=1.0,
         p=p,
         h_predictable=True,

@@ -177,7 +177,7 @@ class PathBuilder:
         self._jumps = seed_path.jump_times      # a tuple, so freeze shares it without a copy
 
     def append(self, t: float, value: np.ndarray, *, jump: bool = False):
-        if t <= self._last:
+        if not t > self._last:      # a NaN time too
             raise ValueError(f"appends must strictly increase in time ({t})")
         self._bp[self._n] = t
         if type(value) is float:
@@ -199,6 +199,8 @@ class PathBuilder:
         return view
 
     def finish(self) -> CadlagPath:
+        if self._last > self._end:
+            raise ValueError(f"end={self._end} must be >= the last breakpoint {self._last}")
         p = self.freeze()
         p.breakpoints.setflags(write=False)
         p.values.setflags(write=False)

@@ -26,13 +26,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .conditions import check_condition
 from .gronwall import (
-    _gbm_squared_rate,
-    _two_point_values,
     brownian_square_pairs,
     counterexample_ensemble,
     counterexample_stats,
     gbm_squared_ensemble,
-    gronwall_bound,
     lenglart_moment,
     lenglart_tail,
     verify_gronwall,
@@ -41,7 +38,7 @@ from .models import build_model, build_noise, exact_terminal
 from .paths import path_csv_lines
 from .solver import euler_solve, strong_convergence
 
-__all__ = ["run_experiment", "overflow_problems"]
+__all__ = ["run_experiment"]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -96,37 +93,6 @@ def _run_convergence(cfg: ExperimentConfig, out: Path):
     parameters = {k: v for k, v in o.items() if k != "noise" or v}
     results = {"errors": rep.errors, "stderrs": rep.stderrs, "slope": rep.slope}
     return parameters, results, EXIT_OK
-
-
-def _overflows(fn, *args) -> bool:
-    try:
-        fn(*args)
-    except OverflowError:
-        return True
-    return False
-
-
-def overflow_problems(cfg: ExperimentConfig) -> list:
-    """The float overflows that would end a run of cfg, one problem each: in the
-    two-point values, or in the gbm-squared Gronwall bound, whose A(T) = K T
-    and deterministic H(T) = x0^2 + K T the config fixes."""
-    o = cfg.options
-    if cfg.kind == "counterexample" or o.get("ensemble") == "counterexample":
-        return [
-            f"'alpha' {o['alpha']} at q {q}: a two-point value (1 - q) ** (1 - 1/alpha) / q or "
-            "(1 - q) ** (-1/alpha) overflows a float"
-            for q in o.get("q_values", [o.get("q")]) if _overflows(_two_point_values, q, o["alpha"])
-        ]
-    if o.get("ensemble") == "gbm-squared":
-        a_total = _gbm_squared_rate(o["mu"], o["sigma"], o["n"])
-        h_total = o["x0"] * o["x0"] + a_total
-        h_stat = lambda p: h_total if o["variant"] == "c" else h_total ** p
-        return [
-            f"'sigma' {o['sigma']} and 'mu' {o['mu']} give A(T) = {a_total:.6g}, and the variant "
-            f"{o['variant']} bound at p {p} overflows a float"
-            for p in o["p_values"] if _overflows(gronwall_bound, o["variant"], p, a_total, h_stat(p))
-        ]
-    return []
 
 
 def _run_verify_gronwall(cfg: ExperimentConfig, out: Path):

@@ -82,6 +82,11 @@ class TestBound:
         with pytest.raises(ValueError):
             s.gronwall_bound("d", 0.5, 0.0, 1.0)
 
+    def test_a_bound_past_the_float_range_raises(self):
+        # exp(8 A) is a float, the bound 5.66 sqrt(H) exp(8 A) is not
+        with pytest.raises(OverflowError, match="past the float range"):
+            s.gronwall_bound("c", 0.5, 88.4976, 89.4976)
+
 
 def constant_ensemble(h0: float, p: float, reps: int = 8) -> s.GronwallEnsemble:
     """X = H = h0, M = 0, A = 0: the assumption holds with equality."""
@@ -128,9 +133,12 @@ class TestVerify:
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_gbm_ensemble_holds(self, variant, p):
-        ens = s.gbm_squared_ensemble(2000, p, seed=11)
-        rep = s.verify_gronwall(ens, variant)
-        assert rep.holds, f"{variant} p={p}: lhs_ci={rep.lhs_ci} rhs={rep.rhs}"
+        # mu = -0.05 and below make K = 2 mu + sigma^2 + mu^2 / n negative: the
+        # clock is flat and H constant, where H(t) = x0^2 + K t used to fall.
+        for mu in (0.05, -0.05, -3.0):
+            ens = s.gbm_squared_ensemble(2000, p, seed=11, mu=mu)
+            rep = s.verify_gronwall(ens, variant)
+            assert rep.holds, f"{variant} p={p} mu={mu}: lhs_ci={rep.lhs_ci} rhs={rep.rhs}"
 
     def test_counterexample_violates_predictable_bound(self):
         # Applying the predictable-H formula despite the unpredictable H:
@@ -677,22 +685,27 @@ class TestGenerators:
             assert np.array_equal(got, ref)
 
     def test_gbm_squared_rows_match_one_draw_per_chunk(self):
-        mu, sigma, x0, n = 0.05, 0.2, 1.0, 4
+        n = 4
         dt = 1.0 / n
-        K = 2.0 * mu + sigma * sigma + mu * mu * dt
         dW = reference_increments(_CHUNK + 3, n, seed=22)
-        st = np.empty((len(dW), n + 1))
-        st[:, 0] = x0
-        for k in range(n):
-            st[:, k + 1] = st[:, k] * (1.0 + mu * dt + sigma * dW[:, k])
-        y = st * st
-        drift = np.concatenate([np.zeros((len(y), 1)), np.cumsum(K * y[:, :-1] * dt, axis=1)], axis=1)
-        m = y - y[:, :1] - drift
-        ens = s.gbm_squared_ensemble(_CHUNK + 3, 0.5, 22, n=n)
-        assert len(ens.x_paths) == len(ens.m_paths) == _CHUNK + 3
-        for r in range(_CHUNK + 3):
-            assert np.array_equal(ens.x_paths[r].values[:, 0], y[r])
-            assert np.array_equal(ens.m_paths[r].values[:, 0], m[r])
+        # x0 = 1.7 pins the order of the products: x0 * cumprod(...) differs in the last bits.
+        for mu, sigma, x0 in ((0.05, 0.2, 1.0), (0.3, 0.7, 1.7), (-0.5, 0.3, 0.3)):
+            K = 2.0 * mu + sigma * sigma + mu * mu * dt
+            st = np.empty((len(dW), n + 1))
+            st[:, 0] = x0
+            for k in range(n):
+                st[:, k + 1] = st[:, k] * (1.0 + mu * dt + sigma * dW[:, k])
+            y = st * st
+            drift = np.concatenate([np.zeros((len(y), 1)), np.cumsum(K * y[:, :-1] * dt, axis=1)], axis=1)
+            m = y - y[:, :1] - drift
+            ens = s.gbm_squared_ensemble(_CHUNK + 3, 0.5, 22, mu=mu, sigma=sigma, x0=x0, n=n)
+            assert len(ens.x_paths) == len(ens.m_paths) == _CHUNK + 3
+            for r in range(_CHUNK + 3):
+                assert np.array_equal(ens.x_paths[r].values[:, 0], y[r])
+                assert np.array_equal(ens.m_paths[r].values[:, 0], m[r])
+            # M keeps the true K; the clock and H take K+ = max(K, 0)
+            assert np.array_equal(ens.h_paths[0].values[:, 0], x0 * x0 + max(K, 0.0) * (np.arange(n + 1) * dt))
+            assert ens.clock(1.0) == max(K, 0.0)
 
     def test_lenglart_moment_peak_memory_is_bounded(self):
         tracemalloc.start()
@@ -853,6 +866,11 @@ class TestCounterexampleStats:
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             s.counterexample_stats(1.2, 0.5, 0.5, 10, seed=0)
+
+    def test_two_point_values_past_the_float_range_raise(self):
+        # up = (1 - q)^(1 - 1/alpha) / q = 1e-4^-99 / q
+        with pytest.raises(OverflowError):
+            s.counterexample_stats(0.9999, 0.01, 0.5, 10, 3)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,11 @@ def two_step():
     return CadlagPath(np.array([0.0, 1.0]), np.array([[2.0], [5.0]]), 2.0)
 
 
+def appended(builder: PathBuilder, t: float) -> PathBuilder:
+    builder.append(t, 1.0)
+    return builder
+
+
 def frozen_at(p: CadlagPath, t: float) -> CadlagPath:
     """p rebuilt by a PathBuilder through its breakpoints up to t, then frozen."""
     k = int(np.searchsorted(p.breakpoints, t, side="right"))
@@ -222,6 +227,8 @@ def test_nan_time_is_outside_the_domain(query):
         (lambda: two_step().values_at(np.array([math.nan, 1.0])), "t=nan outside path domain"),
         (lambda: PathBuilder(two_step(), 1.0, 1), "builder end must extend the seed path"),
         (lambda: PathBuilder(two_step(), 3.0, 1).append(1.0, np.ones(1)), r"strictly increase in time \(1.0\)"),
+        (lambda: PathBuilder(two_step(), 3.0, 1).append(math.nan, np.ones(1)), r"strictly increase in time \(nan\)"),
+        (lambda: appended(PathBuilder(two_step(), 2.0, 1), 3.0).finish(), "end=2.0 must be >= the last breakpoint 3.0"),
         (lambda: sup_distance(two_step(), two_step(), 1.0, 0.0), "empty window: a=1.0 > b=0.0"),
         (lambda: sup_distance(two_step(), two_step(), math.nan, 1.0), "t=nan outside path domain"),
         (lambda: CadlagPath(np.array([0.0]), np.ones((1, 1)), math.nan), "end=nan must be >= the last breakpoint"),
@@ -232,7 +239,8 @@ def test_nan_time_is_outside_the_domain(query):
     ],
     ids=[
         "empty", "infinite", "window-before-start", "window-after-end", "window-empty",
-        "values_at-after-end", "values_at-nan", "builder-end", "builder-order",
+        "values_at-after-end", "values_at-nan", "builder-end", "builder-order", "builder-nan",
+        "builder-past-end",
         "sup_distance-empty", "sup_distance-nan", "end-nan", "jump-off-breakpoint", "jump-at-start",
     ],
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdelab import parse_config, run_experiment
+from sdelab import parse_config, run_experiment, runner
 from sdelab.cli import main as cli_main
 from sdelab.models import MODEL_NAMES
 
@@ -71,6 +71,22 @@ class TestVerifyGronwall:
         assert code == 0
         rows = (tmp_path / "gronwall.csv").read_text().strip().split("\n")
         assert rows[1].endswith("holds")
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_gbm_suite_under_a_contracting_drift_exits_zero(self, variant, tmp_path):
+        # K = 2 mu + sigma^2 + mu^2 / n = -0.06: H(t) = x0^2 + K t fell, and the
+        # run ended "replication 0: H must be non-decreasing from H(0) >= 0";
+        # at mu = -3, validate raised a TypeError on the complex H(T)^p.
+        for mu in ("-0.05", "-3.0"):
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text(
+                f"kind: verify-gronwall\nensemble: gbm-squared\nvariant: {variant}\n"
+                f"p: [0.3, 0.5, 0.7]\nmu: {mu}\nreplications: 500\nseed: 3\n"
+            )
+            assert cli_main(["validate", str(cfg)]) == 0
+            assert cli_main(["run", str(cfg), "--out", str(tmp_path / mu)]) == 0
+            rows = (tmp_path / mu / "gronwall.csv").read_text().strip().split("\n")[1:]
+            assert len(rows) == 3 and all(row.endswith(",holds") for row in rows)
 
     def test_counterexample_violation_exit_two(self, tmp_path):
         code = run(
@@ -345,33 +361,50 @@ class TestCli:
         assert capsys.readouterr().out == "OK: simulate experiment, seed 7\n"
 
     @pytest.mark.parametrize(
-        "text, out_is_a_file, first_line",
+        "text, out_is_a_file, fault, first_line",
         [
             (
                 "kind: verify-gronwall\nensemble: counterexample\nvariant: b\n"
                 "p: 0.5\nq: 0.5\nalpha: 0.5\nreplications: 10\nseed: 3\n",
                 False,
+                None,
                 "error: variant 'b' needs M without negative jumps; replication 0 has one",
             ),
-            ("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 3\n", True, "i/o error: "),
-            # the bound's math.exp overflows: exp(8 K) with K = 2 mu + sigma^2 + mu^2 / n, about 100
+            ("kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 3\n", True, None, "i/o error: "),
+            # the bound's math.exp overflows: exp(8 K) with K = 2 mu + sigma^2 + mu^2 / n, about 100;
+            # refused with the config, so no run starts and there is nothing to replay
             (
                 "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
                 "sigma: 10.0\nseed: 3\n",
                 False,
-                "error: OverflowError: ",
+                None,
+                "config error: 'sigma' 10.0 and 'mu' 0.05 give A(T) = 100.1, and the variant c bound at p 0.5 "
+                "overflows a float",
             ),
             # up = (1 - q)^(1 - 1/alpha) / q overflows a float at q = 0.9999, alpha = 0.01
             (
                 "kind: counterexample\nq_values: [0.5, 0.9999]\np: 0.5\nalpha: 0.01\nreplications: 100\n"
                 "seed: 3\n",
                 False,
-                "error: OverflowError: ",
+                None,
+                "config error: 'alpha' 0.01 at q 0.9999: a two-point value (1 - q) ** (1 - 1/alpha) / q or "
+                "(1 - q) ** (-1/alpha) overflows a float",
+            ),
+            # an overflow that no config rule foresaw still ends in an error line and a replay
+            (
+                "kind: simulate\nmodel: gbm\nn: 8\nT: 1.0\nreplications: 1\nseed: 3\n",
+                False,
+                OverflowError("math range error"),
+                "error: OverflowError: math range error\n",
             ),
         ],
-        ids=["error", "io-error", "overflow-in-the-bound", "overflow-in-the-two-point-values"],
+        ids=["error", "io-error", "overflow-in-the-bound", "overflow-in-the-two-point-values", "overflow-in-the-run"],
     )
-    def test_failure_lines(self, text, out_is_a_file, first_line, tmp_path, capsys):
+    def test_failure_lines(self, text, out_is_a_file, fault, first_line, tmp_path, monkeypatch, capsys):
+        if fault is not None:
+            def simulate(cfg, out):
+                raise fault
+            monkeypatch.setitem(runner._RUNNERS, "simulate", simulate)
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         out = tmp_path / "o"
@@ -380,7 +413,10 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(first_line)
-        assert err.endswith(f"\nreplay: sde run {cfg} --seed 3\n")
+        if first_line.startswith("config error: "):
+            assert err == first_line + "\n" and not out.exists()
+        else:
+            assert err.endswith(f"\nreplay: sde run {cfg} --seed 3\n")
 
     @pytest.mark.parametrize(
         "text, fixed, problem",
@@ -430,6 +466,7 @@ class TestCli:
     def test_a_bound_past_the_float_range_fails_the_run_before_any_artifact(self, tmp_path, capsys):
         # The bound turned inf without an OverflowError: gronwall.csv held
         # rhs inf with verdict "holds", then report.json refused the inf.
+        # Then the run raised an OverflowError after building its ensemble.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(
             "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
@@ -437,9 +474,40 @@ class TestCli:
         )
         out = tmp_path / "o"
         assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: OverflowError: the variant c bound at p 0.5 is past the float range\n")
-        assert not (out / "gronwall.csv").exists()
+        assert capsys.readouterr().err == (
+            "config error: 'sigma' 9.402 and 'mu' 0.05 give A(T) = 88.4976, and the variant c bound at p 0.5 "
+            "overflows a float\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+            "sigma: 10.0\nseed: 3\n",
+            "kind: verify-gronwall\nensemble: gbm-squared\nvariant: c\np: 0.5\nreplications: 200\n"
+            "sigma: 9.402\nseed: 3\n",
+            "kind: counterexample\nq_values: [0.5, 0.9999]\np: 0.5\nalpha: 0.01\nreplications: 100\nseed: 3\n",
+            "kind: verify-gronwall\nensemble: counterexample\nvariant: a\np: 0.5\nq: 0.9999\n"
+            "alpha: 0.01\nreplications: 100\nseed: 3\n",
+        ],
+        ids=["overflow-in-the-bound", "inf-bound", "overflow-in-the-two-point-values",
+             "overflow-in-the-two-point-ensemble"],
+    )
+    def test_run_refuses_what_validate_refuses_before_any_work(self, text, tmp_path, monkeypatch, capsys):
+        # run built the ensemble, or finished q = 0.5, before its OverflowError.
+        def work(*args, **kwargs):
+            raise AssertionError("the run did work on a refused config")
+        for name in ("gbm_squared_ensemble", "counterexample_ensemble", "counterexample_stats"):
+            monkeypatch.setattr(runner, name, work)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert cli_main(["validate", str(cfg)]) == 1
+        refused = capsys.readouterr().err
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == refused
+        assert not out.exists()
 
 
 # The smallest size each kind accepts; {model} takes any built-in model.
