@@ -250,7 +250,7 @@ def _float_range(parsed):
         "(1 - q) ** (-1/alpha) overflows a float"
         for q in qs if _overflows(_two_point_values, q, o["alpha"])
     ]
-    if o.get("ensemble") == "gbm-squared" and {"variant", "p_values", "n", "mu", "sigma", "x0"} <= o.keys():
+    if {"variant", "p_values", "n", "mu", "sigma", "x0"} <= o.keys():
         a_total = _gbm_squared_rates(o["mu"], o["sigma"], o["n"])[1]
         h_total = o["x0"] * o["x0"] + a_total
         h_stat = lambda p: h_total if o["variant"] == "c" else h_total ** p
@@ -269,7 +269,8 @@ class _Row(NamedTuple):
     required: bool = False
     default: Any = None
     option: Optional[str] = None      # the option it fills; the key itself if None
-    when: Optional[tuple] = None      # (key, value): read only if that key parsed to value
+    # (key, value): read only if that key parsed to value, refused if it parsed to another
+    when: Optional[tuple] = None
 
 
 _COMMON = (
@@ -307,10 +308,10 @@ _SCHEMAS = {
         _Row("variant", _choice("a", "b", "c"), required=True),
         _Row("p", _unit_list("'p'", scalar=True), required=True, option="p_values"),
         _Row("replications", _integer(2), required=True),
-        _Row("n", _integer(1), default=64),
-        _Row("mu", _number, default=0.05),
-        _Row("sigma", _number, default=0.2),
-        _Row("x0", _number, default=1.0),
+        _Row("n", _integer(1), default=64, when=("ensemble", "gbm-squared")),
+        _Row("mu", _number, default=0.05, when=("ensemble", "gbm-squared")),
+        _Row("sigma", _number, default=0.2, when=("ensemble", "gbm-squared")),
+        _Row("x0", _number, default=1.0, when=("ensemble", "gbm-squared")),
         _Row("q", _unit, required=True, when=("ensemble", "counterexample")),
         _Row("alpha", _unit, required=True, when=("ensemble", "counterexample")),
         _float_range,
@@ -390,6 +391,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 row(parsed)
             elif row.when is None or parsed.get(row.when[0]) == row.when[1]:
                 parsed[row.option or row.key] = _read(row, data, parsed)
+            elif data.get(row.key) is not None and row.when[0] in parsed:
+                # a gate key that failed to parse has its own problem already
+                problems.append(f"'{row.key}' is read only when '{row.when[0]}' is '{row.when[1]}'")
         except ConfigError as exc:
             problems.extend(exc.problems)
     if problems:

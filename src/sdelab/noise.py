@@ -273,7 +273,11 @@ def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, ro
     # a native row as it is (ndarray.__array__ returns the array itself), or its one entry
     take = ndarray.item if shape == (1,) else ndarray.__array__
     drift_label, jump_label, comp_label = labels
-    rated, rate, components = spec.intensity is not None, spec.rate, range(spec.wiener_count)
+    # a constant rate is the float the spec stored at construction, read once;
+    # a callable one is called, and checked, at every entry
+    lam, components = spec.intensity, range(spec.wiener_count)
+    rated = lam is not None
+    rate = spec.rate if rated and type(lam) is not float else None
     label = at = None  # the coefficient in flight, and its t
     try:
         for s0, s1, dw, points in _cells(spec, real):
@@ -290,7 +294,7 @@ def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, ro
                 dt = t - u
                 delta = wiener
                 if rated:
-                    lam = rate(u)
+                    lam = lam if rate is None else rate(u)
                     label, at = comp_label, u
                     c = compensator(u, h)
                     c = take(c) if type(c) is ndarray and c.shape == shape and c.dtype is f64 else row(c)

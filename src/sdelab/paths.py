@@ -168,9 +168,10 @@ class PathBuilder:
         self._vals = np.empty((m + capacity, d), dtype=float)
         self._bp[:m] = seed_path.breakpoints
         self._vals[:m] = seed_path.values
-        # where a float value goes: the one column, through a flat view of
-        # it, or every entry of its row when there are more columns
-        self._floats = self._vals[:, 0] if d == 1 else self._vals
+        # float stores go through memoryviews, faster than numpy item stores but
+        # refusing an int; a float value fills the one column, or every entry of its row
+        self._times = memoryview(self._bp)
+        self._floats = memoryview(self._vals[:, 0]) if d == 1 else self._vals
         self._n = m
         self._last = float(seed_path.breakpoints[-1])
         self._end = float(end)
@@ -179,11 +180,8 @@ class PathBuilder:
     def append(self, t: float, value: np.ndarray, *, jump: bool = False):
         if not t > self._last:      # a NaN time too
             raise ValueError(f"appends must strictly increase in time ({t})")
-        self._bp[self._n] = t
-        if type(value) is float:
-            self._floats[self._n] = value
-        else:
-            self._vals[self._n] = value
+        (self._times if type(t) is float else self._bp)[self._n] = t
+        (self._floats if type(value) is float else self._vals)[self._n] = value
         self._n += 1
         self._last = t
         if jump:
@@ -233,13 +231,14 @@ def sup_distance(p: CadlagPath, q: CadlagPath, a: float, b: float) -> float:
     return float(np.sqrt(np.max(diff[:, None] @ diff[:, :, None])))
 
 
-def path_csv_lines(path: CadlagPath, lead: str = ""):
-    """One CSV line per breakpoint: lead, then t, x_1..x_d in repr form."""
-    line = lead.replace("%", "%%") + "%r," + ",".join(["%r"] * path.dimension) + "\n"
-    return map(line.__mod__, zip(path.breakpoints.tolist(), *path.values.T.tolist()))
+def path_csv_text(path: CadlagPath, lead: str = "") -> str:
+    """One CSV line per breakpoint, each ending in a newline: lead, then t,
+    x_1..x_d in repr form.  The lead is taken as it is."""
+    columns = [map(repr, path.breakpoints.tolist()), *(map(repr, c) for c in path.values.T.tolist())]
+    return lead + ("\n" + lead).join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_path_csv(path: CadlagPath, fh):
     """Dump a path as CSV: one row per breakpoint, columns t, x_1..x_d."""
     fh.write("t," + ",".join(f"x_{i+1}" for i in range(path.dimension)) + "\n")
-    fh.writelines(path_csv_lines(path))
+    fh.write(path_csv_text(path))

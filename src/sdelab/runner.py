@@ -35,7 +35,7 @@ from .gronwall import (
     verify_gronwall,
 )
 from .models import build_model, build_noise, exact_terminal
-from .paths import path_csv_lines
+from .paths import path_csv_text
 from .solver import euler_solve, strong_convergence
 
 __all__ = ["run_experiment"]
@@ -69,7 +69,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
     with open(out / "trajectories.csv", "w") as fh:
         fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
         for r, p in enumerate(paths):
-            fh.writelines(path_csv_lines(p, f"{r},"))
+            fh.write(path_csv_text(p, f"{r},"))
     if paths:
         terminal = np.array([p.value_at(p.end) for p in paths])
         stats = {

@@ -134,7 +134,7 @@ CASES = {
         seed: 14
         """,
         2,
-        "737b4759632a991bffcd8f6c6e582745858e4d2b2b5809663496da067d0e9a95",
+        "e0a11a02fd17a723cf8b344ccf04b8eee4e8053f7170d8c916ab380172824556",
     ),
     "lenglart-tail": (
         """

@@ -487,8 +487,8 @@ grid_n: 4
             "'p' must lie in (0,1), got 1.5",
             "'p' must lie in (0,1), got 'x'",
             "'replications' must be >= 2, got 1",
-            "'n' must be >= 1, got 0",
-            "'mu' must be a number, got 'fast'",
+            "'n' is read only when 'ensemble' is 'gbm-squared'",
+            "'mu' is read only when 'ensemble' is 'gbm-squared'",
             "'q' must lie in (0,1), got 1.0",
             "missing required key 'alpha'",
         ],
@@ -509,6 +509,7 @@ seed: 1.5
             "'grid_n' must be >= 1, got -1",
             "'c' must be positive, got 0",
             "missing required key 'd'",
+            "'p' is read only when 'mode' is 'moment'",
         ],
     ),
     "counterexample": (
@@ -559,6 +560,32 @@ n: 3
 def test_multi_error_problem_list(kind):
     text, expected = MULTI_ERROR[kind]
     assert problems_of(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        ("kind: verify-gronwall\nensemble: gbm-squared\nvariant: a\np: 0.5\nreplications: 2\nq: 5\n"
+         "alpha: nonsense\nseed: 1\n",
+         ["'q' is read only when 'ensemble' is 'counterexample'",
+          "'alpha' is read only when 'ensemble' is 'counterexample'"]),
+        ("kind: lenglart\nmode: moment\np: 0.5\nreplications: 2\nc: -3\nd: x\nseed: 1\n",
+         ["'c' is read only when 'mode' is 'tail'", "'d' is read only when 'mode' is 'tail'"]),
+        # a gate key that failed to parse gets its own problem and no second one
+        ("kind: lenglart\nmode: both\np: 0.5\nreplications: 2\nc: -3\nd: x\nseed: 1\n",
+         ["'mode' must be one of ['moment', 'tail'], got 'both'"]),
+    ],
+    ids=["gronwall-ensemble", "lenglart-mode", "gate-refused"],
+)
+def test_a_key_of_a_branch_not_taken_is_refused(text, problems):
+    assert problems_of(text) == problems
+
+
+def test_the_counterexample_ensemble_takes_no_gbm_squared_key():
+    # n, mu, sigma and x0 with their defaults stayed in its options and so
+    # in report.json's parameters, though the run never reads them.
+    cfg = parse_config(yaml.safe_dump({"kind": "verify-gronwall", **VALID["verify-gronwall"]}))
+    assert cfg.options.keys() == {"ensemble", "variant", "p_values", "replications", "q", "alpha"}
 
 
 @pytest.mark.parametrize(

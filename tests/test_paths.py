@@ -7,10 +7,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdelab import CadlagPath, PathBuilder, constant_path, sup_distance, write_path_csv
-from sdelab.paths import path_csv_lines
+from sdelab.paths import path_csv_text
 from sdelab.errors import PathDomainError
 
 
@@ -166,36 +166,61 @@ def test_csv_dump():
     assert len(lines) == 3
 
 
-def test_csv_lines_put_the_lead_before_each_row():
+def test_csv_text_puts_the_lead_before_each_row():
     # The one row format of witness CSVs and trajectories.csv: repr floats.
     p = CadlagPath(np.array([0.0, 0.1]), np.array([[1 / 3, -0.0], [1e-300, 2.5]]), 1.0)
-    assert list(path_csv_lines(p, "7,")) == [
-        "7,0.0,0.3333333333333333,-0.0\n", "7,0.1,1e-300,2.5\n"
-    ]
+    assert path_csv_text(p, "7,") == "7,0.0,0.3333333333333333,-0.0\n7,0.1,1e-300,2.5\n"
     buf = io.StringIO()
     write_path_csv(p, buf)
-    assert buf.getvalue() == "t,x_1,x_2\n" + "".join(path_csv_lines(p))
+    assert buf.getvalue() == "t,x_1,x_2\n" + path_csv_text(p)
 
 
-def test_csv_lines_take_a_lead_with_percent_signs_as_it_is():
+def test_csv_text_takes_a_lead_with_percent_signs_as_it_is():
     p = CadlagPath(np.array([0.0, 0.1]), np.array([[1 / 3, -0.0], [1e-300, 2.5]]), 1.0)
-    assert list(path_csv_lines(p, "%d%%r,")) == [
-        "%d%%r,0.0,0.3333333333333333,-0.0\n", "%d%%r,0.1,1e-300,2.5\n"
-    ]
+    assert path_csv_text(p, "%d%%r,") == "%d%%r,0.0,0.3333333333333333,-0.0\n%d%%r,0.1,1e-300,2.5\n"
+
+
+def reference_csv_lines(path: CadlagPath, lead: str = "") -> str:
+    """The per-line `%r` formatter that path_csv_text replaced, kept as its reference."""
+    line = lead.replace("%", "%%") + "%r," + ",".join(["%r"] * path.dimension) + "\n"
+    return "".join(map(line.__mod__, zip(path.breakpoints.tolist(), *path.values.T.tolist())))
+
+
+SPECIAL_FLOATS = [-0.0, 1e-300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def csv_paths(draw):
+    d = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    times = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    entry = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    values = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=len(times), max_size=len(times)))
+    return CadlagPath(np.array(times), np.array(values), times[-1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_paths(), st.text(alphabet="%rds,7-", max_size=6))
+@example(CadlagPath(np.array([0.0, 1.0]), np.array([SPECIAL_FLOATS[:3], SPECIAL_FLOATS[2:]]), 1.0), "%%r%d,")
+def test_csv_text_is_the_per_line_formatter(p, lead):
+    assert path_csv_text(p, lead) == reference_csv_lines(p, lead)
 
 
 def test_a_float_append_stores_what_a_one_entry_row_does():
+    # and an int time what the float time does: floats go through the
+    # builder's memoryviews, an int or a row through numpy's item store
     values = [1 / 3, -0.0, 1e-300, math.inf, math.nan, -2.5]
     paths = []
-    for as_row in (False, True):
+    for as_row, int_time in ((False, False), (True, False), (False, True)):
         builder = PathBuilder(constant_path(0.5, 0.0, 0.0), 7.0, len(values))
         for t, v in enumerate(values, 1):
-            builder.append(float(t), np.array([v]) if as_row else v, jump=t % 2 == 0)
+            builder.append(t if int_time else float(t), np.array([v]) if as_row else v, jump=t % 2 == 0)
         paths.append(builder.finish())
-    floats, rows = paths
-    assert floats.values.tobytes() == rows.values.tobytes()
-    assert floats.breakpoints.tobytes() == rows.breakpoints.tobytes()
-    assert floats.jump_times == rows.jump_times == (2.0, 4.0, 6.0)
+    floats = paths[0]
+    for other in paths[1:]:
+        assert floats.values.tobytes() == other.values.tobytes()
+        assert floats.breakpoints.tobytes() == other.breakpoints.tobytes()
+        assert floats.jump_times == other.jump_times == (2.0, 4.0, 6.0)
 
 
 @pytest.mark.parametrize(

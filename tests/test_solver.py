@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdelab as s
-from sdelab.errors import ExplosionError, ModelError
+from sdelab.errors import ExplosionError, ModelError, NoiseSpecError
 from sdelab.models import (
     additive_jumps,
     build_model,
@@ -394,6 +394,28 @@ def test_event_on_a_grid_point_folds_into_one_entry():
     assert m.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
     assert m.values[:, 0].tolist() == [0.0, 0.625, 0.25, 1.1, 0.875, 0.5]
     assert m.jump_times == (0.25, 0.6, 1.0)
+
+
+def test_a_constant_rate_is_read_once_per_solve(monkeypatch):
+    # The walk uses the float the spec stored at construction; only a
+    # callable rate is called, and checked, at every entry.
+    model = geometric_jump(rate_bound=16.0)
+    constant = build_noise(wiener=1, jump_rate=16.0)
+    called = s.euler_solve(model, dataclasses.replace(constant, intensity=lambda t: 16.0), 16, 4.0, (1, 3))
+    # below the bound at every candidate event, which lies in (0, T], and below 0 at the first entry
+    leaving = dataclasses.replace(constant, intensity=lambda t: -1.0 if t == 0.0 else 16.0)
+    with pytest.raises(NoiseSpecError, match=r"lambda\(0.0\) = -1.0 < 0"):
+        s.euler_solve(model, leaving, 16, 4.0, (1, 3))
+
+    def refuse(self, t):
+        raise AssertionError(f"rate called at {t}")
+
+    monkeypatch.setattr(s.MartingaleMeasureSpec, "rate", refuse)
+    read = s.euler_solve(model, constant, 16, 4.0, (1, 3))
+    assert len(read.jump_times) > 0
+    assert read.breakpoints.tobytes() == called.breakpoints.tobytes()
+    assert read.values.tobytes() == called.values.tobytes()
+    assert read.jump_times == called.jump_times
 
 
 @pytest.mark.parametrize(

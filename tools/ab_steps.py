@@ -27,9 +27,11 @@ rounds and the change first in odd ones:
 - conditions: the `check_condition` calls of the `inequality-lab` workload
   (C1, C2 and C4 for `geometric-jump` with one Wiener component, jump rate
   2, radius 10 and 300 samples)
-- trajectories: `path_csv_lines` over the 500 `jump-simulate` paths
+- trajectories: the CSV text of the 500 `jump-simulate` paths
   (`geometric-jump` at jump rate 16, n = 16, T = 4), solved once before the
-  rounds, each with its replication as the lead, as `trajectories.csv` has it
+  rounds, each with its replication as the lead, as `trajectories.csv` has
+  it, through `path_csv_text`, or the joined `path_csv_lines` of a checkout
+  that has no `path_csv_text`
 - thin: 500 `sample_noise` calls on the `jump-simulate` noise and grid
 
 The sizes and configs named after a perfbench workload are read from
@@ -141,7 +143,8 @@ def trajectories(pkg, seed: int):
     model, spec, n, T = jump_simulate(pkg)
     replications = range(JUMP_SIMULATE["replications"])
     paths = [pkg.euler_solve(model, spec, n, T, (seed, r), replication=r) for r in replications]
-    run = lambda: ["".join(pkg.paths.path_csv_lines(p, f"{r},")) for r, p in enumerate(paths)]
+    csv_text = getattr(pkg.paths, "path_csv_text", None) or (lambda p, lead: "".join(pkg.paths.path_csv_lines(p, lead)))
+    run = lambda: [csv_text(p, f"{r},") for r, p in enumerate(paths)]
     return run, lambda text: text
 
 
