@@ -215,7 +215,8 @@ def check_condition(
 
     The tolerance is relative, 1e-9 * (1 + |rhs|), to survive floating-point
     cancellation in the inner-product terms.  Only the first 16 violations
-    are recorded.
+    are recorded.  For C1 to C4, a sample whose lhs or rhs is not finite
+    raises ValueError instead of giving a verdict.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
@@ -234,17 +235,27 @@ def check_condition(
         return report
 
     sampler = sampler or random_path_sampler(model, radius, horizon)
-    for i in range(samples):
-        rng = stream(seed, i)
-        t, x, y = sampler(rng)
-        if condition == "C3":
-            lhs, rhs = _check_c3(model, t, x, rng)
-        else:
-            lhs, rhs = evaluate_condition(model, spec, condition, t, x, y, radius)
-        tol = 1e-9 * (1.0 + abs(rhs))
-        if lhs > rhs + tol and len(report.violations) < _MAX_WITNESSES:
-            report.violations.append(
-                Violation(i, t, lhs, rhs, lhs - rhs, x, y if condition == "C1" else None)
-            )
+    # an OverflowError of the checker's own float arithmetic fails the check
+    # as an inf or NaN side does; a coefficient's is already a ModelError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(samples):
+            rng = stream(seed, i)
+            t, x, y = sampler(rng)
+            try:
+                if condition == "C3":
+                    lhs, rhs = _check_c3(model, t, x, rng)
+                else:
+                    lhs, rhs = evaluate_condition(model, spec, condition, t, x, y, radius)
+                if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                    raise OverflowError(f"lhs {lhs} and rhs {rhs} are not both finite")
+            except OverflowError as exc:
+                raise ValueError(
+                    f"{condition} sample {i} at t={t!r} and radius {radius!r} has no verdict in floats: {exc}"
+                ) from exc
+            tol = 1e-9 * (1.0 + abs(rhs))
+            if lhs > rhs + tol and len(report.violations) < _MAX_WITNESSES:
+                report.violations.append(
+                    Violation(i, t, lhs, rhs, lhs - rhs, x, y if condition == "C1" else None)
+                )
     return report
 

@@ -17,7 +17,8 @@ predictable by construction: callers supply g already frozen on the left
 endpoint of the enclosing grid cell (the Euler solver passes frozen
 histories; deterministic g is trivially fine).  integrate and the Euler
 solver share one walk over the cells, _walk, where each cell's formula
-lives.
+lives: the compensator is the caller's closed form, or else the walk's own
+node quadrature of the jump.
 """
 
 from __future__ import annotations
@@ -261,7 +262,9 @@ def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, ro
     x + delta, append(t, x, jump=t is an event).  delta is jump(t, h, mark)
     at an event, else the Wiener part sum_i jump(s0, h, i) * dW_i (None
     without one); with jumps, plus -lambda(u) * compensator(u, h) * (t - u),
-    then plus the Wiener part at an event on the cell end.
+    then plus the Wiener part at an event on the cell end.  A None
+    compensator is the mean of row(jump(u, h, xi)) over the compensator
+    nodes, added in node order under the jump's label.
 
     A native float64 ndarray of the given shape is taken as it is (its one
     entry when the shape is (1,)), any other value goes through row.  A
@@ -278,6 +281,9 @@ def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, ro
     lam, components = spec.intensity, range(spec.wiener_count)
     rated = lam is not None
     rate = spec.rate if rated and type(lam) is not float else None
+    if rated and compensator is None:  # the nodes are drawn here, outside any label
+        count, comp_label = len(spec.compensator_nodes), jump_label
+        compensator = lambda u, h: spec.node_sum(lambda xi: row(jump(u, h, xi))) / count
     label = at = None  # the coefficient in flight, and its t
     try:
         for s0, s1, dw, points in _cells(spec, real):
@@ -326,11 +332,6 @@ def _walk(spec, real, x, append, freeze, drift, jump, compensator, *, labels, ro
     return x
 
 
-def _node_compensator(spec, g):
-    """t, h -> the node quadrature of g(t, h, xi) over mu, added in node order."""
-    return lambda t, h: spec.node_sum(lambda xi: g(t, h, xi)) / len(spec.compensator_nodes)
-
-
 def integrate(
     g,
     spec: MartingaleMeasureSpec,
@@ -346,8 +347,8 @@ def integrate(
              - int_0^t lambda(s) (int g(s, .) dmu) ds,
 
     with g read at cell left endpoints for the Wiener part and at exact event
-    times for jumps.  The compensator uses the supplied closed form when
-    given, else frozen-node quadrature over mu.  Event times are marked as
+    times for jumps.  The compensator is the supplied closed form when
+    given, else the walk's node quadrature of g.  Event times are marked as
     genuine jumps on the output path.  It is the Euler walk of the solver
     with a zero drift, whose x + 0.0 * dt leaves every level as it is.
     """
@@ -368,12 +369,11 @@ def integrate(
     entries = []
     _walk(
         spec, real, 0.0, lambda t, level, jump=False: entries.append((t, level, jump)), lambda: None,
-        lambda t, _h: 0.0, g_h, comp_h or _node_compensator(spec, g_h),
-        labels=(None, None, None), row=lambda v: v, shape=None,
+        lambda t, _h: 0.0, g_h, comp_h, labels=(None, None, None), row=lambda v: v, shape=None,
     )
     d = 1 if d is None else d
     start = float(real.grid[0])
-    seed = CadlagPath._trusted(np.array([start]), np.zeros((1, d)), start, tail=start)
+    seed = CadlagPath._trusted(np.array([start]), np.zeros((1, d)), start)
     builder = PathBuilder(seed, real.horizon, len(entries))
     for t, level, is_jump in entries:
         builder.append(t, level, jump=is_jump)

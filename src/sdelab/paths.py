@@ -68,14 +68,14 @@ class CadlagPath:
         _set(self, "_tail", float(bp[-1]))
 
     @classmethod
-    def _trusted(cls, breakpoints, values, end, jump_times=(), tail=None) -> "CadlagPath":
+    def _trusted(cls, breakpoints, values, end) -> "CadlagPath":
         """Construct without validation.  Internal use on arrays the builder already owns."""
         p = _new(cls)
         _set(p, "breakpoints", breakpoints)
         _set(p, "values", values)
         _set(p, "end", end)
-        _set(p, "jump_times", jump_times)
-        _set(p, "_tail", float(breakpoints[-1]) if tail is None else tail)
+        _set(p, "jump_times", ())
+        _set(p, "_tail", float(breakpoints[-1]))
         return p
 
     # -- basic geometry ------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ExplosionError, ModelError
 from .noise import Z_TWO_SIDED, MartingaleMeasureSpec, NoiseRealization, sample_noise
-from .noise import _F64, _node_compensator, _walk
+from .noise import _F64, _walk
 from .paths import CadlagPath, PathBuilder, sup_distance
 
 __all__ = [
@@ -106,9 +106,9 @@ def _as_row(v, shape, scalar):
     return v.item() if scalar else v
 
 
-def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
+def _wrap_coefficient(fn, label, dim, *, native=False):
     """fn with its value as a float row of length dim: a failure, or a value of
-    another size, raises ModelError with the label, t and the replication.
+    another size, raises ModelError with the label and t.
 
     Called as (t, h), or as (t, h, mark) for the jump.  A native float64
     ndarray of shape (dim,) is taken as it is; any other value goes through
@@ -128,7 +128,7 @@ def _wrap_coefficient(fn, label, dim, replication=None, *, native=False):
         except ModelError:
             raise
         except Exception as exc:
-            raise ModelError(f"{label} evaluation failed: {exc}", t=t, replication=replication) from exc
+            raise ModelError(f"{label} evaluation failed: {exc}", t=t) from exc
 
     return call
 
@@ -149,11 +149,12 @@ def euler_solve(
     stream_id = (seed, index); a given one must live on that same grid
     (coupled resolutions aggregate shared noise with coarsen_noise first), so
     cell k of the solve is cell k of the realization.  Deterministic given
-    the stream.  A scalar model (dim 1) walks on Python floats, a vector
-    model on float rows; both round every product and sum as float64.
-    Raises ExplosionError at the first breakpoint where the state is not
-    finite; a scalar state that overflows turns inf without a numpy warning
-    and is caught there too.
+    the stream.  The compensator is the model's closed form, or else the
+    walk's own node quadrature of the jump.  A scalar model (dim 1) walks on
+    Python floats, a vector model on float rows; both round every product
+    and sum as float64.  Raises ExplosionError at the first breakpoint where
+    the state is not finite; a scalar state that overflows turns inf without
+    a numpy warning and is caught there too.
     """
     grid = euler_grid(n, T)
     if realization is None:
@@ -163,20 +164,16 @@ def euler_solve(
     elif not np.array_equal(realization.grid, grid):
         raise ValueError(f"realization grid is not the Euler grid 0, 1/{n}, ..., {T}")
 
-    dim = model.dim
-    shape, scalar = (dim,), dim == 1
+    shape, scalar = (model.dim,), model.dim == 1
     # One append per cell and per event, fewer where an event lands on the grid.
     appends = grid.size - 1 + realization.event_times.size
     builder = PathBuilder(model.initial, float(grid[-1]), appends)
     x0 = model.initial.value_at(0.0)
     x = x0.item() if scalar else np.array(x0, dtype=float)
-    compensator = model.compensator or spec.has_jumps and _node_compensator(
-        spec, _wrap_coefficient(model.jump, "jump", dim, replication, native=True))
-    # node quadrature labels its own jump failures
-    labels = ("drift", "jump", "compensator" if model.compensator else None)
     x = _walk(
-        spec, realization, x, builder.append, builder.freeze, model.drift, model.jump, compensator,
-        labels=labels, row=lambda v: _as_row(v, shape, scalar), shape=shape, replication=replication,
+        spec, realization, x, builder.append, builder.freeze, model.drift, model.jump, model.compensator,
+        labels=("drift", "jump", "compensator"), row=lambda v: _as_row(v, shape, scalar), shape=shape,
+        replication=replication,
     )
     path = builder.finish()
     # The initial segment is finite, and a sum with an infinite or NaN term

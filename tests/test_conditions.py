@@ -115,14 +115,27 @@ def test_a_verdict_needs_one_sample(samples):
 
 
 def test_a_failing_coefficient_is_a_model_error_at_the_sampled_time():
-    def broken(t, h):
-        raise ZeroDivisionError("division by zero")
+    # an OverflowError too: the coefficient failed, not the checker's float arithmetic
+    for fault in (ZeroDivisionError("division by zero"), OverflowError("math range error")):
+        def broken(t, h):
+            raise fault
 
-    model = dataclasses.replace(linear(), drift=broken)
-    t = random_path_sampler(model, 1.0)(stream(0, 0))[0]
-    with pytest.raises(ModelError, match=r"^drift evaluation failed: division by zero \[t=") as err:
-        s.check_condition(model, ONE_WIENER, "C2", radius=1.0, samples=1, seed=0)
-    assert err.value.t == t and err.value.replication is None
+        model = dataclasses.replace(linear(), drift=broken)
+        t = random_path_sampler(model, 1.0)(stream(0, 0))[0]
+        with pytest.raises(ModelError, match=rf"^drift evaluation failed: {fault} \[t=") as err:
+            s.check_condition(model, ONE_WIENER, "C2", radius=1.0, samples=1, seed=0)
+        assert err.value.t == t and err.value.replication is None
+
+
+@pytest.mark.parametrize("condition", ["C1", "C2", "C3", "C4"])
+def test_a_side_past_the_float_range_is_an_error_not_a_verdict(condition):
+    # A drift of 1e300 per unit state, at radius 1e10: inf on every side that reads it.
+    model = dataclasses.replace(linear(), drift=lambda t, h: 1e300 * h.value_at(t))
+    t = random_path_sampler(model, 1e10)(stream(0, 0))[0]
+    with np.errstate(all="raise"), pytest.raises(ValueError) as err:
+        s.check_condition(model, ONE_WIENER, condition, radius=1e10, samples=3, seed=0)
+    prefix = f"{condition} sample 0 at t={t!r} and radius 10000000000.0 has no verdict in floats: "
+    assert str(err.value).startswith(prefix)
 
 
 class ZeroDraws:

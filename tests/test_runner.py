@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,48 @@ class TestCheckConditionsRunner:
         (c5,) = report["results"]["conditions"]
         assert c5["condition"] == "C5" and not c5["passed"]
         assert c5["violations"] == [{"index": 0, "t": 0.0, "lhs": None, "rhs": None, "margin": None}]
+
+
+    @pytest.mark.parametrize(
+        "model, noise, radius, error",
+        [
+            ("geometric-jump", "{wiener: 1, jump_rate: 2.0}", "1.0e+150", None),
+            (
+                "geometric-jump", "{wiener: 1, jump_rate: 2.0}", "6.0e+153",
+                "error: C1 sample 1 at t=0.0751511510959112 and radius 6e+153 has no verdict in floats: "
+                "lhs inf and rhs 3.3344239402127224e+307 are not both finite",
+            ),
+            (
+                "linear", "{wiener: 1}", "1.0e+160",
+                "error: C1 sample 0 at t=0.3035680343067586 and radius 1e+160 has no verdict in floats: "
+                "lhs -inf and rhs inf are not both finite",
+            ),
+        ],
+        ids=["finite", "inf-lhs", "overflow"],
+    )
+    def test_a_radius_near_the_float_range_gives_finite_verdicts_or_fails(
+        self, model, noise, radius, error, tmp_path, capsys
+    ):
+        # sde validate accepts all three.  At 6e153 the run reported 16 C1
+        # violations with lhs inf; at 1e160 it printed numpy overflow warnings
+        # and ended in an OverflowError of a float square.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            f"kind: check-conditions\nmodel: {model}\nnoise: {noise}\nconditions: [C1, C2, C4]\n"
+            f"radius: {radius}\nsamples: 200\nseed: 1\n"
+        )
+        out = tmp_path / "o"
+        assert cli_main(["validate", str(cfg)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", str(cfg), "--out", str(out)])
+        assert caught == []
+        err = capsys.readouterr().err
+        if error is None:
+            assert code == 0 and err == "" and (out / "report.json").exists()
+        else:
+            assert code == 1 and err == f"{error}\nreplay: sde run {cfg} --seed 1\n"
+            assert not (out / "report.json").exists()
 
 
 class TestCli:

@@ -111,6 +111,12 @@ class TestEulerSolve:
     def test_delay_ode_oracle(self, n):
         x = s.euler_solve(delay_ode(), NO_NOISE, n, 2.0, (0, 0))
         assert abs(x.value_at(2.0)[0] - (-0.5)) <= 5.0 / n
+        # against the method-of-steps solution at every grid point: exact on
+        # [0, 1], where the delayed state is the constant history
+        grid = s.euler_grid(n, 2.0)
+        err = np.array([abs(x.value_at(t)[0] - delay_ode_exact(t)) for t in grid.tolist()])
+        assert (err[grid <= 1.0] <= 1e-12).all()
+        assert err.max() <= 0.5 / n + 1e-12
 
     def test_reduces_to_explicit_euler_without_noise(self):
         # On a dyadic grid the solver must reproduce the hand-rolled explicit
@@ -418,6 +424,56 @@ def test_a_constant_rate_is_read_once_per_solve(monkeypatch):
     assert read.jump_times == called.jump_times
 
 
+NODE_NOISE = build_noise(wiener=1, jump_rate=2.0, quadrature_nodes=8)
+
+
+def without_compensator(**change):
+    return dataclasses.replace(geometric_jump(), compensator=None, **change)
+
+
+@pytest.mark.parametrize("model", [geometric_jump(), build_model("linear", {"dim": 2})], ids=["scalar", "dim-2"])
+def test_the_walk_node_quadrature_is_the_node_mean_of_the_jump(model):
+    # With no closed form the walk takes the mean of the jump over the
+    # frozen nodes, added in node order: the same bits as that mean given
+    # as the model's closed form.
+    nodes = NODE_NOISE.compensator_nodes
+    mean = lambda t, h: NODE_NOISE.node_sum(lambda xi: model.jump(t, h, xi)) / len(nodes)
+    walked, closed = (dataclasses.replace(model, compensator=c) for c in (None, mean))
+    for r in range(50):
+        a = s.euler_solve(walked, NODE_NOISE, 8, 1.0, (5, r), replication=r)
+        b = s.euler_solve(closed, NODE_NOISE, 8, 1.0, (5, r), replication=r)
+        assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
+        assert a.values.tobytes() == b.values.tobytes() and a.jump_times == b.jump_times
+
+
+def test_a_node_quadrature_failure_is_a_jump_error_at_the_entry_start():
+    def jump(t, h, mark):
+        if not isinstance(mark, int) and t >= 0.5:
+            raise RuntimeError("mark broke")
+        return geometric_jump().jump(t, h, mark)
+
+    with pytest.raises(ModelError, match=r"^jump evaluation failed: mark broke \[t=0.5, replication=3\]$"):
+        s.euler_solve(without_compensator(jump=jump), NODE_NOISE, 4, 1.0, (1, 0), replication=3)
+    other_size = without_compensator(jump=lambda t, h, mark: np.ones(1) if isinstance(mark, int) else np.ones(2))
+    with pytest.raises(
+        ModelError,
+        match=r"^jump evaluation failed: cannot reshape array of size 2 into shape \(1,\) \[t=0, replication=3\]$",
+    ):
+        s.euler_solve(other_size, NODE_NOISE, 4, 1.0, (1, 0), replication=3)
+
+
+def test_a_mark_sampler_failure_at_the_nodes_is_its_own_error():
+    def sampler(rng, size):
+        raise RuntimeError("sampler broke")
+
+    spec = s.MartingaleMeasureSpec(wiener_count=1, intensity=2.0, intensity_bound=2.0, mark_sampler=sampler)
+    grid = s.euler_grid(4, 1.0)
+    real = s.NoiseRealization(grid, np.full((4, 1), 0.1), np.empty(0), np.empty((0, 1)))
+    with pytest.raises(RuntimeError, match="^sampler broke$") as err:
+        s.euler_solve(without_compensator(), spec, 4, 1.0, realization=real, replication=3)
+    assert type(err.value) is RuntimeError
+
+
 @pytest.mark.parametrize(
     "use",
     [
@@ -607,8 +663,8 @@ def test_a_coefficient_value_of_another_kind_is_converted_to_a_float_row(value, 
 @pytest.mark.parametrize("value", [np.zeros(3), [1.0], np.zeros((2, 2))], ids=["three", "list-of-one", "2x2"])
 def test_a_coefficient_value_of_another_size_is_a_model_error(label, args, value):
     for native in (False, True):
-        call = _wrap_coefficient(lambda *_: value, label, 2, replication=4, native=native)
-        with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25, replication=4\]$"):
+        call = _wrap_coefficient(lambda *_: value, label, 2, native=native)
+        with pytest.raises(ModelError, match=rf"^{label} evaluation failed: .* \[t=0.25\]$"):
             call(*args)
 
 
@@ -647,9 +703,34 @@ def reference_cell_entries(g, compensator, h, spec, s0, s1, ds, dw, events):
     return entries
 
 
+def reference_wrap(fn, label, dim, replication):
+    """The solver's coefficient wrapper, native rows on, kept as the reference's
+    own copy: fn with its value as a float row of length dim, or its one entry
+    as a Python float when dim is 1.  A failure, or a value of another size,
+    raises ModelError with the label, t and the replication.
+    """
+    shape, scalar = (dim,), dim == 1
+
+    def call(t, h, *mark):
+        try:
+            v = fn(t, h, *mark)
+            if type(v) is np.ndarray and v.shape == shape and v.dtype is np.dtype(float):
+                return v.item() if scalar else v
+            if scalar and type(v) is float:
+                return v
+            v = np.asarray(v, dtype=float).reshape(shape)
+            return v.item() if scalar else v
+        except ModelError:
+            raise
+        except Exception as exc:
+            raise ModelError(f"{label} evaluation failed: {exc}", t=t, replication=replication) from exc
+
+    return call
+
+
 def reference_solve(model, spec, real, replication):
     """euler_solve on a realization through reference_cell_entries and wrapped coefficients."""
-    wrap = lambda fn, label: _wrap_coefficient(fn, label, model.dim, replication, native=True)
+    wrap = lambda fn, label: reference_wrap(fn, label, model.dim, replication)
     f, g = wrap(model.drift, "drift"), wrap(model.jump, "jump")
     comp = model.compensator and wrap(model.compensator, "compensator")
     grid, te = real.grid, real.event_times
