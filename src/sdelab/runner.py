@@ -8,16 +8,19 @@ propagate to the CLI as exit 1.
 Artifacts are byte-reproducible for a fixed config and seed: every
 replication draws from its own counter-based stream, replications are
 reduced in index order, and the only non-reproducible value is the
-timestamp, isolated in one metadata key.  One producer thread draws the
-Brownian increments while the current block is reduced, up to two blocks
-ahead (three blocks alive, about 3 MiB); the output bytes do not depend on
-it.
+timestamp, isolated in one metadata key.  For `lenglart` and the
+`gbm-squared` ensemble one producer thread draws the Brownian increments
+while the current block is reduced, up to two blocks ahead (three blocks
+alive, about 3 MiB); the output bytes do not depend on it.  `simulate`
+writes its paths under a temporary name, renamed to trajectories.csv only
+once every replication succeeded, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,6 +46,11 @@ __all__ = ["run_experiment"]
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 
+# simulate solves, writes and reduces this many replications at a time, so
+# its memory does not grow with `replications`; whole blocks keep the CSV
+# formatting out of the run of solves.
+_BLOCK = 32
+
 
 def _write_csv(path: Path, header: str, rows):
     """Header line, then one line per row; floats in repr form, anything else via str."""
@@ -62,16 +70,25 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     model, spec = _model_and_noise(o)
     reps = o["replications"]
-    paths = [
-        euler_solve(model, spec, o["n"], o["T"], (cfg.seed, r), replication=r)
-        for r in range(reps)
-    ]
-    with open(out / "trajectories.csv", "w") as fh:
-        fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
-        for r, p in enumerate(paths):
-            fh.write(path_csv_text(p, f"{r},"))
-    if paths:
-        terminal = np.array([p.value_at(p.end) for p in paths])
+    terminal = np.empty((reps, model.dim))
+    part = out / "trajectories.csv.part"
+    try:
+        with open(part, "w") as fh:
+            fh.write("replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n")
+            for start in range(0, reps, _BLOCK):
+                block = [
+                    euler_solve(model, spec, o["n"], o["T"], (cfg.seed, r), replication=r)
+                    for r in range(start, min(start + _BLOCK, reps))
+                ]
+                for r, p in enumerate(block, start):
+                    fh.write(path_csv_text(p, f"{r},"))
+                    terminal[r] = p.value_at(p.end)
+                del block  # not alive while the next block is solved
+        os.replace(part, out / "trajectories.csv")
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    if reps:
         stats = {
             "terminal_mean": [float(v) for v in terminal.mean(axis=0)],
             "terminal_std": [float(v) for v in (terminal.std(axis=0, ddof=1) if reps > 1 else np.zeros(model.dim))],

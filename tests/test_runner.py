@@ -4,14 +4,19 @@ import json
 import math
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdelab import parse_config, run_experiment, runner
 from sdelab.cli import main as cli_main
-from sdelab.models import MODEL_NAMES
+from sdelab.errors import ExplosionError
+from sdelab.models import MODEL_NAMES, build_model, build_noise
+from sdelab.paths import path_csv_text
+from sdelab.solver import euler_solve
 
 
 def run(text, out, **overrides):
@@ -128,6 +133,89 @@ class TestSimulate:
         assert csv0 == (outs[2] / "trajectories.csv").read_bytes()
         r0, r1, r2 = (strip_timestamp(read_report(o)) for o in outs)
         assert r0 == r1 == r2
+
+
+SIMULATE_MODELS = {
+    "gbm": "model: gbm\n",
+    "geometric-jump": (
+        "model: geometric-jump\nmodel_params: {gamma: 0.1, rate_bound: 16.0}\n"
+        "noise: {wiener: 1, jump_rate: 16.0}\n"
+    ),
+    "linear-dim2": "model: linear\nmodel_params: {dim: 2}\n",
+}
+
+
+def simulate_reference(cfg):
+    """trajectories.csv and the statistics of a simulate run, from every path held at once."""
+    o = cfg.options
+    model, spec = build_model(o["model"], o["model_params"]), build_noise(**o["noise"])
+    paths = [
+        euler_solve(model, spec, o["n"], o["T"], (cfg.seed, r), replication=r)
+        for r in range(o["replications"])
+    ]
+    text = "replication,t," + ",".join(f"x_{i+1}" for i in range(model.dim)) + "\n"
+    text += "".join(path_csv_text(p, f"{r},") for r, p in enumerate(paths))
+    if not paths:
+        return text, {"terminal_mean": [], "terminal_std": []}
+    terminal = np.array([p.value_at(p.end) for p in paths])
+    std = terminal.std(axis=0, ddof=1) if len(paths) > 1 else np.zeros(model.dim)
+    return text, {"terminal_mean": terminal.mean(axis=0).tolist(), "terminal_std": std.tolist()}
+
+
+class TestSimulateBlocks:
+    @pytest.mark.parametrize("model", sorted(SIMULATE_MODELS))
+    @pytest.mark.parametrize("replications", [0, 1, 31, 32, 33, 65])
+    def test_block_edges_keep_every_byte(self, model, replications, tmp_path):
+        assert runner._BLOCK == 32
+        cfg = parse_config(
+            f"kind: simulate\n{SIMULATE_MODELS[model]}n: 8\nT: 1.0\nreplications: {replications}\nseed: 13\n"
+        )
+        assert run_experiment(cfg, out_dir=tmp_path) == 0
+        text, stats = simulate_reference(cfg)
+        assert (tmp_path / "trajectories.csv").read_text() == text
+        assert read_report(tmp_path)["results"]["statistics"] == stats
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["report.json", "trajectories.csv"]
+
+    def test_live_paths_stay_within_one_block(self, tmp_path, monkeypatch):
+        live, peak = [], [0]
+
+        def tracked(*args, **kwargs):
+            path = euler_solve(*args, **kwargs)
+            live.append(weakref.ref(path))
+            peak[0] = max(peak[0], sum(ref() is not None for ref in live))
+            return path
+
+        monkeypatch.setattr(runner, "euler_solve", tracked)
+        text = "kind: simulate\nmodel: gbm\nn: 4\nT: 1.0\nreplications: 200\nseed: 5\n"
+        assert run(text, tmp_path) == 0
+        assert len(live) == 200
+        assert peak[0] <= runner._BLOCK + 1
+
+    def test_a_failed_replication_leaves_no_partial_artifact(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, replication, **kwargs):
+            if replication == 40:  # in the second block, after the first one is written
+                raise ExplosionError("state is not finite", t=0.5, replication=replication)
+            return euler_solve(*args, replication=replication, **kwargs)
+
+        monkeypatch.setattr(runner, "euler_solve", failing)
+        text = "kind: simulate\nmodel: gbm\nn: 4\nT: 1.0\nreplications: 100\nseed: 5\n"
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ExplosionError, match="replication=40"):
+            run(text, fresh)
+        assert list(fresh.iterdir()) == []
+
+        older = tmp_path / "older"
+        older.mkdir()
+        kept = b"replication,t,x_1\n0,0.0,1.0\n"
+        (older / "trajectories.csv").write_bytes(kept)
+        with pytest.raises(ExplosionError):
+            run(text, older)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert cli_main(["run", str(cfg), "--out", str(older)]) == 1
+        assert capsys.readouterr().err.endswith(f"\nreplay: sde run {cfg} --seed 5\n")
+        assert [f.name for f in older.iterdir()] == ["trajectories.csv"]
+        assert (older / "trajectories.csv").read_bytes() == kept
 
 
 class TestLenglartRunner:

@@ -6,11 +6,11 @@ Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so a drift of
 the machine's speed falls on both sides alike.  Prints every pair's wall_s
 and peak_rss_mb, then, for each end-to-end metric of the parent's
-BENCHMARK.json, the two medians, the parent's quartile distance and WORSE
-where the change's median is worse than the parent's by more than the
-metric's bound (a share of the parent's median), and how many pairs the
-change won on wall_s.  Standard library only; each checkout gets only
-run.py's own records under perfbench/out/.
+BENCHMARK.json, the two medians, the parent's quartile distance, in how
+many pairs the change was better in the metric's `better` direction, and
+WORSE where the change's median is worse than the parent's by more than the
+metric's bound (a share of the parent's median).  Standard library only;
+each checkout gets only run.py's own records under perfbench/out/.
 """
 
 import argparse
@@ -54,10 +54,10 @@ def main(argv=None) -> int:
         q = statistics.quantiles(parent, n=4) if args.pairs > 1 else [0.0, 0.0, 0.0]
         base, new = statistics.median(parent), statistics.median(change)
         worse = sign * (new - base) > metric["bound"] * abs(base)
+        wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
         print(f"median {name}: parent {base:.4g} (IQR {q[2] - q[0]:.3g}), change {new:.4g}, "
-              f"bound {metric['bound']:.0%}{'  WORSE' if worse else ''}")
-    wins = sum(b["wall_s"] < a["wall_s"] for a, b in zip(sides["parent"], sides["change"]))
-    print(f"change faster on wall_s in {wins} of {args.pairs} pairs")
+              f"better in {wins} of {args.pairs} pairs, bound {metric['bound']:.0%}"
+              f"{'  WORSE' if worse else ''}")
     return 0
 
 
