@@ -18,13 +18,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
+import numpy as np
 import yaml
 
-from .conditions import CONDITIONS
+from .conditions import CONDITIONS, evaluate_condition
 from .errors import ConfigError
 from .gronwall import _gbm_squared_rates, _two_point_values, gronwall_bound
-from .models import MODEL_NAMES, ORACLE_MODELS, envelope_problems, model_param_names, noise_problems, param_problems
-from .solver import euler_steps
+from .models import (
+    MODEL_NAMES,
+    ORACLE_MODELS,
+    build_model,
+    build_noise,
+    envelope_problems,
+    model_param_names,
+    noise_problems,
+    param_problems,
+)
+from .paths import constant_path
+from .solver import _wrap_coefficient, euler_steps
 from .streams import KEY_LIMIT
 
 __all__ = ["ExperimentConfig", "parse_config", "check_override", "KINDS"]
@@ -263,6 +274,50 @@ def _float_range(parsed):
         raise ConfigError(problems)
 
 
+def _checker_sides(model, spec, condition, radius, horizon):
+    """The sides of `condition` where the checker's terms at `radius` are largest;
+    OverflowError if one is past the float range.
+
+    The sampled paths have sup norm at most R = radius and t in (0, horizon], so
+    evaluate_condition forms C1's factor sup |x - y|^2 <= (2R)^2 and C2's
+    1 + sup |x|^2 <= 1 + R^2, each times its envelope at (t, R), C4's envelope
+    at (t, R), and the mark integral of |g(x) - g(y)|^2 (C1) or |g(x)|^2 (C2,
+    C4), whose node sum is formed before it is averaged; C3 forms |f(x)|^2.
+    They are taken at t = horizon on the constant pair x = R / sqrt(d) in
+    every component and y = -x, with the frozen nodes the checker uses, where,
+    for every model a config can name (envelopes and jump rate constant in t,
+    drift and jump constant or linear in the state, or the drift x|x|), each
+    is largest.
+    """
+    d = model.dim
+    x = constant_path(np.full(d, radius / math.sqrt(d)), -model.delay, horizon)
+    y = constant_path(-x.values[0], -model.delay, horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if condition == "C3":
+            f = _wrap_coefficient(model.drift, "drift", d)(horizon, x)
+            sides = (float(f @ f),)
+        else:
+            sides = evaluate_condition(model, spec, condition, horizon, x, y, radius)
+    if not all(map(math.isfinite, sides)):
+        raise OverflowError(f"{condition} sides {sides} at radius {radius}")
+    return sides
+
+
+def _radius_range(parsed):
+    """The condition checks must form finite terms at the radius (see _checker_sides)."""
+    if not {"model", "model_params", "noise", "conditions", "radius", "horizon"} <= parsed.keys():
+        return
+    o = parsed
+    model, spec = build_model(o["model"], o["model_params"]), build_noise(**o["noise"])
+    problems = [
+        f"'radius' {o['radius']!r} takes a term of the {c} check past the float range"
+        for c in o["conditions"]
+        if c != "C5" and _overflows(_checker_sides, model, spec, c, o["radius"], o["horizon"])
+    ]
+    if problems:
+        raise ConfigError(problems)
+
+
 class _Row(NamedTuple):
     key: str
     check: Callable
@@ -337,6 +392,7 @@ _SCHEMAS = {
         _Row("radius", _positive, required=True),
         _Row("samples", _integer(1), required=True),
         _Row("horizon", _positive, default=1.0),
+        _radius_range,
     ),
 }
 

@@ -56,7 +56,7 @@ _ASSUMPTION_TOL = 1e-9
 _CHUNK = 4096
 
 # Upper bound on the bytes of one block of increments a chunk is drawn in.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 # Upper bound on the points of one row block of ensemble validation: each of
 # the pass's (rows, k) arrays then takes at most 128 KiB, all of them about
@@ -447,8 +447,9 @@ def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
     One producer thread draws and scales the blocks into a one-slot
     hand-off (numpy's normal sampler releases the interpreter lock) and
     starts the next draw as soon as it has handed a block over, without
-    waiting for the caller to ask.  So three blocks can be alive at a time:
-    the one the caller holds, the one in the slot and the one being drawn.
+    waiting for the caller to ask.  So three blocks of at most 256 KiB can
+    be alive at a time: the one the caller holds, until it drops it, the one
+    in the slot and the one being drawn.
     Only the producer advances the streams, in order, so the values do not
     depend on it.  A draw that raises raises the same exception here, after
     the blocks drawn before it; closing the generator early waits at most
@@ -500,11 +501,12 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
     E[B(tau)^2] = E[tau] for bounded stopping times, so G dominates X in the
     stopped-expectation sense; G is deterministic, hence predictable.  Returns
     (x_paths, g_paths) ready for the Lenglart estimators: X is generated one
-    block of increments at a time, so a consumer that drops each path before
-    taking the next holds at most three blocks (about 3 * _BLOCK_BYTES) of
-    X, the one it reads, the one waiting in the hand-off and the one being
-    drawn, whatever `replications` is; G is the one shared deterministic
-    path, repeated.
+    block of increments at a time, and each block is dropped once its
+    running sum is in the block of X paths, so a consumer that drops each
+    path before taking the next holds about three blocks (3 * _BLOCK_BYTES,
+    about 0.75 MiB), the block of X it reads, the increments waiting in the
+    hand-off and those being drawn, whatever `replications` is; G is the one
+    shared deterministic path, repeated.
     """
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)
@@ -514,6 +516,7 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
             b = np.empty((len(incr), grid_n + 1))
             b[:, 0] = 0.0
             np.cumsum(incr, axis=1, out=b[:, 1:])
+            del incr
             b *= b
             for row in b:
                 yield CadlagPath._trusted(ts, row[:, None], 1.0)
@@ -648,17 +651,21 @@ def gbm_squared_ensemble(
     xs, ms = [], []
     for dW in _brownian_increments(replications, n, dt, seed):
         take = len(dW)
-        s = np.empty((take, n + 1))
-        s[:, 0] = x0
-        s[:, 1:] = 1.0 + mu * dt + sigma * dW
+        # in place, with the operations and operands of the formulas: y holds S,
+        # then Y = S^2; m holds K Y_k dt, then its running sum, then M
+        y, m = np.empty((take, n + 1)), np.empty((take, n + 1))
+        y[:, 0], m[:, 0] = x0, 0.0
+        np.multiply(dW, sigma, out=y[:, 1:])
+        del dW
+        y[:, 1:] += 1.0 + mu * dt
         # S_{k+1} = S_k (1 + mu dt + sigma dW_k), multiplied from S_0 = x0 on:
         # x0 * cumprod(...) would round differently
-        np.multiply.accumulate(s, axis=1, out=s)
-        y = s * s
-        drift_cum = np.concatenate(
-            [np.zeros((take, 1)), np.cumsum(K * y[:, :-1] * dt, axis=1)], axis=1
-        )
-        m = y - y[:, :1] - drift_cum
+        np.multiply.accumulate(y, axis=1, out=y)
+        y *= y
+        np.multiply(y[:, :-1], K, out=m[:, 1:])
+        m[:, 1:] *= dt
+        np.cumsum(m[:, 1:], axis=1, out=m[:, 1:])
+        np.subtract(y - y[:, :1], m, out=m)
         for r in range(take):
             xs.append(CadlagPath._trusted(ts, y[r][:, None], 1.0))
             ms.append(CadlagPath._trusted(ts, m[r][:, None], 1.0))

@@ -11,7 +11,7 @@ reduced in index order, and the only non-reproducible value is the
 timestamp, isolated in one metadata key.  For `lenglart` and the
 `gbm-squared` ensemble one producer thread draws the Brownian increments
 while the current block is reduced, up to two blocks ahead (three blocks
-alive, about 3 MiB); the output bytes do not depend on it.  `simulate`
+alive, about 0.75 MiB); the output bytes do not depend on it.  `simulate`
 writes its paths under a temporary name, renamed to trajectories.csv only
 once every replication succeeded, so a failed run leaves no partial file.
 """

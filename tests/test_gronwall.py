@@ -672,7 +672,7 @@ def reference_increments(replications: int, steps: int, seed: int) -> np.ndarray
 
 class TestGenerators:
     # (_CHUNK + 3, 8) crosses a chunk boundary; (130, 2048) is one chunk drawn in
-    # blocks of 64 rows, 64 and 2.
+    # eight blocks of 16 rows and one of 2.
     @pytest.mark.parametrize("replications, grid_n", [(_CHUNK + 3, 8), (130, 2048)])
     def test_brownian_square_rows_match_one_draw_per_chunk(self, replications, grid_n):
         b = np.cumsum(reference_increments(replications, grid_n, seed=21), axis=1)
@@ -714,8 +714,35 @@ class TestGenerators:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
         assert rep.lhs == 1.2218617906199845
+
+    def test_gbm_squared_build_peak_memory_is_bounded(self):
+        # the peak above what the ensemble keeps: its paths, 2.3 MiB at 1 500 x 64
+        tracemalloc.start()
+        try:
+            ens = s.gbm_squared_ensemble(1500, 0.5, seed=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 2 * 2**20
+        assert ens.replications == 1500
+
+    def test_the_block_size_only_bounds_memory(self, monkeypatch):
+        n = 16
+        rows = {}
+        # one row per block, two blocks per chunk (the default) and one
+        for block_bytes in (8 * n, gronwall._BLOCK_BYTES, 1 << 22):
+            monkeypatch.setattr(gronwall, "_BLOCK_BYTES", block_bytes)
+            xs, _ = s.brownian_square_pairs(_CHUNK + 3, n, seed=24)
+            ens = s.gbm_squared_ensemble(_CHUNK + 3, 0.5, 24, mu=0.3, sigma=0.7, x0=1.7, n=n)
+            rows[block_bytes] = (
+                b"".join(x.values.tobytes() for x in xs),
+                b"".join(x.values.tobytes() for x in ens.x_paths),
+                b"".join(m.values.tobytes() for m in ens.m_paths),
+            )
+        first, *others = rows.values()
+        assert all(other == first for other in others)
 
 
 class DrawLog:
@@ -751,8 +778,8 @@ class DrawLog:
 class TestIncrementPipeline:
     """_brownian_increments draws ahead on one producer thread, through a one-slot hand-off."""
 
-    # 436 rows of 300 steps fit in a block: chunk 0 is ten blocks, chunk 1 one.
-    REPLICATIONS, STEPS = _CHUNK + 4, 300
+    # 436 rows of 75 steps fit in a block: chunk 0 is ten blocks, chunk 1 one.
+    REPLICATIONS, STEPS = _CHUNK + 4, 75
 
     def test_blocks_equal_one_serial_draw_per_chunk(self):
         blocks = list(_brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23))

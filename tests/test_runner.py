@@ -305,44 +305,45 @@ class TestCheckConditionsRunner:
 
 
     @pytest.mark.parametrize(
-        "model, noise, radius, error",
+        "model, noise, conditions, radius, refused",
         [
-            ("geometric-jump", "{wiener: 1, jump_rate: 2.0}", "1.0e+150", None),
-            (
-                "geometric-jump", "{wiener: 1, jump_rate: 2.0}", "6.0e+153",
-                "error: C1 sample 1 at t=0.0751511510959112 and radius 6e+153 has no verdict in floats: "
-                "lhs inf and rhs 3.3344239402127224e+307 are not both finite",
-            ),
-            (
-                "linear", "{wiener: 1}", "1.0e+160",
-                "error: C1 sample 0 at t=0.3035680343067586 and radius 1e+160 has no verdict in floats: "
-                "lhs -inf and rhs inf are not both finite",
-            ),
+            ("geometric-jump", "{wiener: 1, jump_rate: 2.0}", "[C1, C2, C4]", "1.0e+150", []),
+            ("geometric-jump", "{wiener: 1, jump_rate: 2.0}", "[C1, C2, C4]", "10", []),
+            ("geometric-jump", "{wiener: 1, jump_rate: 2.0}", "[C1, C2, C4]", "6.0e+153", ["C1"]),
+            ("linear", "{wiener: 1}", "[C1, C2, C4]", "1.0e+160", ["C1", "C2", "C4"]),
+            ("gbm", "{wiener: 1}", "[C3, C5]", "1.0e+156", ["C3"]),
+            ("superlinear-bad", "{wiener: 1}", "[C2]", "1.0e+103", ["C2"]),
         ],
-        ids=["finite", "inf-lhs", "overflow"],
+        ids=["finite", "radius-10", "inf-lhs", "overflow", "C3-drift", "C2-drift"],
     )
     def test_a_radius_near_the_float_range_gives_finite_verdicts_or_fails(
-        self, model, noise, radius, error, tmp_path, capsys
+        self, model, noise, conditions, radius, refused, tmp_path, capsys
     ):
-        # sde validate accepts all three.  At 6e153 the run reported 16 C1
-        # violations with lhs inf; at 1e160 it printed numpy overflow warnings
-        # and ended in an OverflowError of a float square.
+        # The radius rule refuses a radius at which some term of a listed
+        # check (C1 to C4) would be past the float range, so that no run
+        # fails after sampling, with no verdict in floats (at 6e153, C1's lhs
+        # is inf; at 1e160, C1's lhs is -inf and its rhs inf).
         cfg = tmp_path / "c.yaml"
         cfg.write_text(
-            f"kind: check-conditions\nmodel: {model}\nnoise: {noise}\nconditions: [C1, C2, C4]\n"
+            f"kind: check-conditions\nmodel: {model}\nnoise: {noise}\nconditions: {conditions}\n"
             f"radius: {radius}\nsamples: 200\nseed: 1\n"
         )
         out = tmp_path / "o"
-        assert cli_main(["validate", str(cfg)]) == 0
+        error = "".join(
+            f"config error: 'radius' {float(radius)!r} takes a term of the {c} check past the float range\n"
+            for c in refused
+        )
+        assert cli_main(["validate", str(cfg)]) == (1 if refused else 0)
+        assert capsys.readouterr().err == error
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli_main(["run", str(cfg), "--out", str(out)])
         assert caught == []
         err = capsys.readouterr().err
-        if error is None:
+        if not refused:
             assert code == 0 and err == "" and (out / "report.json").exists()
         else:
-            assert code == 1 and err == f"{error}\nreplay: sde run {cfg} --seed 1\n"
+            assert code == 1 and err == error
             assert not (out / "report.json").exists()
 
 

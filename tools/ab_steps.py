@@ -38,9 +38,12 @@ The sizes and configs named after a perfbench workload are read from
 rounds time what the workloads run.  A solve draws its noise from stream
 (seed, r), as the runners do.  Prints each side's minimum and median round
 time and the minimum per step, replication or sample, and asserts that both
-sides give identical paths and equal reports.  Needs only the standard
-library, the numpy that sdelab imports and the PyYAML that perfbench
-imports.
+sides give identical paths and equal reports.  After the timed rounds, one
+more untimed round per side runs under `tracemalloc` and prints its peak of
+traced Python and numpy allocations, all threads counted, so a memory claim
+has an in-process A/B too without changing the timed rounds.  Needs only
+the standard library, the numpy that sdelab imports and the PyYAML that
+perfbench imports.
 """
 
 import argparse
@@ -51,6 +54,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SOLVES = 40
@@ -167,6 +171,16 @@ WORKLOADS = {
 }
 
 
+def traced_peak(go) -> int:
+    """The tracemalloc peak, in bytes, of one call of go."""
+    tracemalloc.start()
+    try:
+        go()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -199,6 +213,8 @@ def main(argv=None) -> int:
                       f"per round, min {min(ts) / units * 1e6:.2f} us per {unit}")
             wins = sum(b < a for a, b in zip(times["parent"], times["change"]))
             print(f"{workload}: change faster in {wins} of {args.rounds} rounds", flush=True)
+            for side, (go, _) in run.items():
+                print(f"{workload} {side}: tracemalloc peak {traced_peak(go) / 2**20:.2f} MiB per round", flush=True)
     return 0
 
 
