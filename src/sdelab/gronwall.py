@@ -16,9 +16,8 @@ expectations almost surely, so anything beyond CI noise is a hard failure.
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -182,7 +181,7 @@ def _check_row_block(clock: MonotoneFunction, first: int, block: list) -> None:
     """
     ts, xs, ms, hs = zip(*block)
     rows, k = len(ts), len(ts[0])
-    a = np.fromiter((clock(t) for row in ts for t in row), float, rows * k).reshape(rows, k)
+    a = np.fromiter(map(clock, itertools.chain.from_iterable(ts)), float, rows * k).reshape(rows, k)
     xmh = np.concatenate(xs + ms + hs).reshape(3, rows, k)
     x, m, h = xmh
     da = a[:, 1:] - a[:, :-1]
@@ -444,55 +443,21 @@ def _brownian_increments(replications: int, steps: int, dt: float, seed: int):
     same stream, so the block size only bounds memory; the values are those
     of one draw per chunk.
 
-    One producer thread draws and scales the blocks into a one-slot
-    hand-off (numpy's normal sampler releases the interpreter lock) and
-    starts the next draw as soon as it has handed a block over, without
-    waiting for the caller to ask.  So three blocks of at most 256 KiB can
-    be alive at a time: the one the caller holds, until it drops it, the one
-    in the slot and the one being drawn.
-    Only the producer advances the streams, in order, so the values do not
-    depend on it.  A draw that raises raises the same exception here, after
-    the blocks drawn before it; closing the generator early waits at most
-    for the draw in flight, and no thread outlives the generator.
+    Each block is drawn and scaled on the caller's thread when the caller
+    asks for it, and the generator keeps no reference to a block it has
+    yielded: a caller that drops each block before asking for the next
+    holds one block of at most 256 KiB.
     """
-    # imported here, not with the module: kinds that draw no Brownian block
-    # would pay for it at every start-up
-    import queue
-
     rows = max(1, _BLOCK_BYTES // (8 * steps))
     scale = math.sqrt(dt)
-    handoff = queue.Queue(maxsize=1)
-    closed = threading.Event()
-
-    def produce():
-        try:
-            for k, done in enumerate(range(0, replications, _CHUNK)):
-                rng = stream(seed, k)
-                take = min(_CHUNK, replications - done)
-                for start in range(0, take, rows):
-                    block = rng.standard_normal((min(rows, take - start), steps))
-                    block *= scale
-                    handoff.put(block)
-                    if closed.is_set():
-                        return
-            handoff.put(None)
-        except Exception as exc:  # handed to the caller, who raises it
-            handoff.put(exc)
-
-    # a daemon, so a generator left suspended does not hold up interpreter exit
-    producer = threading.Thread(target=produce, name="brownian-increments", daemon=True)
-    producer.start()
-    try:
-        while (block := handoff.get()) is not None:
-            if isinstance(block, Exception):
-                raise block
-            yield block
-    finally:
-        closed.set()
-        # frees the slot, so a producer blocked on it can see `closed`
-        with contextlib.suppress(queue.Empty):
-            handoff.get_nowait()
-        producer.join()
+    held = []  # the block drawn: popped as it is yielded, so this frame keeps no reference to it
+    for k, done in enumerate(range(0, replications, _CHUNK)):
+        rng = stream(seed, k)
+        take = min(_CHUNK, replications - done)
+        for start in range(0, take, rows):
+            held.append(rng.standard_normal((min(rows, take - start), steps)))
+            held[0] *= scale
+            yield held.pop()
 
 
 def brownian_square_pairs(replications: int, grid_n: int, seed: int):
@@ -503,10 +468,10 @@ def brownian_square_pairs(replications: int, grid_n: int, seed: int):
     (x_paths, g_paths) ready for the Lenglart estimators: X is generated one
     block of increments at a time, and each block is dropped once its
     running sum is in the block of X paths, so a consumer that drops each
-    path before taking the next holds about three blocks (3 * _BLOCK_BYTES,
-    about 0.75 MiB), the block of X it reads, the increments waiting in the
-    hand-off and those being drawn, whatever `replications` is; G is the one
-    shared deterministic path, repeated.
+    path before taking the next holds the block of X it reads and, while
+    the next block of X is built, the increments it is built from and that
+    block (3 * _BLOCK_BYTES, about 0.75 MiB), whatever `replications` is; G
+    is the one shared deterministic path, repeated.
     """
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     g_path = CadlagPath(ts, ts[:, None].copy(), 1.0)

@@ -9,11 +9,14 @@ Artifacts are byte-reproducible for a fixed config and seed: every
 replication draws from its own counter-based stream, replications are
 reduced in index order, and the only non-reproducible value is the
 timestamp, isolated in one metadata key.  For `lenglart` and the
-`gbm-squared` ensemble one producer thread draws the Brownian increments
-while the current block is reduced, up to two blocks ahead (three blocks
-alive, about 0.75 MiB); the output bytes do not depend on it.  `simulate`
-writes its paths under a temporary name, renamed to trajectories.csv only
-once every replication succeeded, so a failed run leaves no partial file.
+`gbm-squared` ensemble the Brownian increments are drawn on the run's one
+thread, one block of at most 256 KiB when the reduction asks for it, so
+`lenglart` holds at most three blocks (about 0.75 MiB: the block of X paths
+it reduces, and the next block of increments and of X paths while that one
+is built), whatever its `replications`, and its `grid_n` up to 32 767.
+`simulate` writes its paths under a temporary name, renamed to
+trajectories.csv only once every replication succeeded, so a failed run
+leaves no partial file.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@ counterexample, and the Lenglart estimators against Brownian closed forms."""
 
 import math
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -746,11 +745,12 @@ class TestGenerators:
 
 
 class DrawLog:
-    """Stand-in for gronwall.stream: counts draws, keeps weak references to the blocks, and
-    raises `failure` at draw number `fail_at`."""
+    """Stand-in for gronwall.stream: counts draws, keeps weak references to the blocks, records
+    the most blocks alive just after a draw, and raises `failure` at draw number `fail_at`."""
 
     def __init__(self, fail_at=None, failure=None):
         self.drawn, self.blocks, self.fail_at, self.failure = 0, [], fail_at, failure
+        self.most_alive = 0
 
     def stream(self, seed, k):
         return self
@@ -761,25 +761,21 @@ class DrawLog:
             raise self.failure
         block = np.zeros(size)
         self.blocks.append(weakref.ref(block))
+        self.most_alive = max(self.most_alive, self.alive())
         return block
 
     def alive(self) -> int:
         return sum(ref() is not None for ref in self.blocks)
 
-    def wait_for(self, drawn: int):
-        """Wait until `drawn` draws were made, then a little longer, for a producer that would go on."""
-        deadline = time.monotonic() + 10.0
-        while self.drawn < drawn and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.05)
-        assert self.drawn == drawn
-
 
 class TestIncrementPipeline:
-    """_brownian_increments draws ahead on one producer thread, through a one-slot hand-off."""
+    """_brownian_increments draws each block on the caller's thread when the caller asks for it."""
 
     # 436 rows of 75 steps fit in a block: chunk 0 is ten blocks, chunk 1 one.
     REPLICATIONS, STEPS = _CHUNK + 4, 75
+
+    def blocks(self):
+        return _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
 
     def test_blocks_equal_one_serial_draw_per_chunk(self):
         blocks = list(_brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23))
@@ -787,16 +783,16 @@ class TestIncrementPipeline:
         want = reference_increments(self.REPLICATIONS, self.STEPS, seed=23)
         assert np.array_equal(np.concatenate(blocks), want)
 
-    def test_no_thread_outlives_the_generator(self):
-        start = threading.active_count()
-        for _ in _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23):
-            pass
-        assert threading.active_count() == start
-        blocks = _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
-        next(blocks)
-        assert threading.active_count() == start + 1    # the worker, drawing the second block
+    def test_each_next_draws_one_block_and_close_draws_none(self, monkeypatch):
+        log = DrawLog()
+        monkeypatch.setattr(gronwall, "stream", log.stream)
+        blocks = self.blocks()
+        assert log.drawn == 0
+        for drawn in (1, 2, 3):
+            next(blocks)
+            assert log.drawn == drawn
         blocks.close()
-        assert threading.active_count() == start
+        assert log.drawn == 3
 
     def test_a_draw_that_raises_raises_in_the_consumer(self, monkeypatch):
         failure = FloatingPointError("draw failed")
@@ -811,56 +807,44 @@ class TestIncrementPipeline:
                 return np.zeros(size)
 
         monkeypatch.setattr(gronwall, "stream", lambda seed, k: SecondDrawFails())
-        start = threading.active_count()
-        blocks = _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
+        blocks = self.blocks()
         assert not next(blocks).any()
         with pytest.raises(FloatingPointError) as raised:
             next(blocks)
         assert raised.value is failure
-        assert threading.active_count() == start
 
-    def blocks(self):
-        return _brownian_increments(self.REPLICATIONS, self.STEPS, 1.0 / self.STEPS, seed=23)
-
-    def test_closing_while_the_producer_waits_on_a_full_slot(self, monkeypatch):
-        log = DrawLog()
-        monkeypatch.setattr(gronwall, "stream", log.stream)
-        start = threading.active_count()
-        blocks = self.blocks()
-        next(blocks)
-        # the caller holds block 1 and the slot block 2; block 3 waits for the slot
-        log.wait_for(3)
-        t0 = time.monotonic()
-        blocks.close()
-        assert time.monotonic() - t0 < 5.0
-        assert log.drawn == 3
-        assert threading.active_count() == start
-
-    def test_a_draw_that_fails_behind_a_full_slot_raises_after_it(self, monkeypatch):
+    def test_a_draw_that_fails_raises_at_the_next_that_asked_for_it(self, monkeypatch):
         failure = FloatingPointError("draw failed")
         log = DrawLog(fail_at=3, failure=failure)
         monkeypatch.setattr(gronwall, "stream", log.stream)
-        start = threading.active_count()
         blocks = self.blocks()
-        next(blocks)
-        log.wait_for(3)    # the third draw has raised while block 2 still waits in the slot
         assert not next(blocks).any()
+        assert not next(blocks).any()
+        assert log.drawn == 2
         with pytest.raises(FloatingPointError) as raised:
             next(blocks)
         assert raised.value is failure
-        assert threading.active_count() == start
+        assert log.drawn == 3
 
-    def test_at_most_three_blocks_are_alive(self, monkeypatch):
+    def test_a_consumer_that_drops_each_block_leaves_one_alive(self, monkeypatch):
         log = DrawLog()
         monkeypatch.setattr(gronwall, "stream", log.stream)
-        most = 0
-        for received, block in enumerate(self.blocks(), start=1):
-            log.wait_for(min(received + 2, 11))
-            most = max(most, log.alive())
-        del block
-        # the block held here, the one in the slot and the one drawn next
-        assert most == 3
+        for block in self.blocks():
+            assert log.alive() == 1
+            del block
+        assert log.drawn == 11
+        # the generator kept no block it had yielded while it drew the next
+        assert log.most_alive == 1
         assert log.alive() == 0
+
+    def test_no_run_starts_a_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        xs, gs = s.brownian_square_pairs(_CHUNK + 3, 16, seed=24)
+        assert s.lenglart_moment(xs, gs, 0.5).replications == _CHUNK + 3
+        assert s.gbm_squared_ensemble(_CHUNK + 3, 0.5, 24, n=16).replications == _CHUNK + 3
 
 
 class TestCounterexampleStats:

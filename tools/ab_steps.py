@@ -24,6 +24,11 @@ rounds and the change first in odd ones:
   one chunk of streams, with the `inequality-lab` grid (2 048) and p
 - lenglart-6000: the same at the `inequality-lab` size, 6000 replications,
   which cross a chunk boundary
+- draw-6000: the Brownian draw of lenglart-6000 alone, `_brownian_increments`
+  with its seed, grid and blocks, each block dropped as it comes; the report
+  is the blocks' row counts and the SHA-256 of their bytes in order, from one
+  more untimed draw, so both sides must draw the same blocks bit for bit.
+  The lenglart-6000 time over this one is the lab's cost over its draw.
 - conditions: the `check_condition` calls of the `inequality-lab` workload
   (C1, C2 and C4 for `geometric-jump` with one Wiener component, jump rate
   2, radius 10 and 300 samples)
@@ -48,6 +53,7 @@ perfbench imports.
 
 import argparse
 import dataclasses
+import hashlib
 import importlib
 import shutil
 import statistics
@@ -125,6 +131,19 @@ def lenglart(replications: int):
     return make, replications, "replication"
 
 
+def draw(pkg, seed: int):
+    o = LENGLART
+    blocks = lambda: pkg.gronwall._brownian_increments(o["replications"], o["grid_n"], 1.0 / o["grid_n"], seed)
+
+    def report(rows):
+        digest = hashlib.sha256()
+        for block in blocks():
+            digest.update(block)
+        return rows, digest.hexdigest()
+
+    return lambda: list(map(len, blocks())), report
+
+
 def conditions(pkg, seed: int):
     o = CONDITIONS
     model = pkg.models.build_model(o["model"], o.get("model_params", {}))
@@ -165,6 +184,7 @@ WORKLOADS = {
     "validate-union": validate(copied=True),
     "lenglart": lenglart(2000),
     "lenglart-6000": lenglart(LENGLART["replications"]),
+    "draw-6000": (draw, LENGLART["replications"], "replication"),
     "conditions": (conditions, len(CONDITIONS["conditions"]) * CONDITIONS["samples"], "sample"),
     "trajectories": (trajectories, JUMP_SIMULATE["replications"], "path"),
     "thin": (thin, JUMP_SIMULATE["replications"], "realization"),
